@@ -10,6 +10,7 @@ import (
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
 	"surfdeformer/internal/obs"
+	"surfdeformer/internal/pauli"
 )
 
 // Process-wide cache metrics, aggregated across every DEMCache instance
@@ -87,7 +88,8 @@ func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, 
 // re-rates it. Hit/miss accounting is the same either way: a patch fill is
 // still a miss.
 func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, string, error) {
-	key := demCacheKey(c, model, rounds, basis)
+	codeFP := codeStructFingerprint(c)
+	key := demCacheKey(codeFP, model, rounds, basis)
 	dc.mu.Lock()
 	if dem, ok := dc.entries[key]; ok {
 		dc.hits++
@@ -102,12 +104,12 @@ func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model 
 	// bandage (super-stabilizer merge) or removal changes the mechanism set
 	// itself, and a patch would silently re-rate the stale set. Fingerprint
 	// mismatch → full build.
-	if pt != nil && base != nil && base.plan != nil && base.plan.codeFP == codeStructFingerprint(c) {
+	if pt != nil && base != nil && base.plan != nil && base.plan.codeFP == codeFP {
 		dem, ok = pt.Patch(base, model)
 	}
 	if !ok {
 		var err error
-		dem, err = BuildDEM(c, model, rounds, basis)
+		dem, err = buildDEM(c, func(int) *noise.Model { return model }, rounds, basis, patchableBase(model), codeFP)
 		if err != nil {
 			return nil, "", err
 		}
@@ -179,10 +181,10 @@ func (dc *DEMCache) Has(dem *DEM) bool {
 // demCacheKey serializes everything BuildDEM's output depends on: the
 // structural content of the code (qubits, stabilizers, gauges, logicals)
 // and of the noise model (rates plus the defective set).
-func demCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) string {
+func demCacheKey(codeFP string, model *noise.Model, rounds int, basis lattice.CheckType) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "r%d|b%d|", rounds, basis)
-	writeCodeFingerprint(&sb, c)
+	sb.WriteString(codeFP)
 	sb.WriteByte('|')
 	writeModelFingerprint(&sb, model)
 	return sb.String()
@@ -191,30 +193,79 @@ func demCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.Che
 // codeStructFingerprint is the code portion of demCacheKey on its own: the
 // full structural serialization (qubits, stabilizers with super-stabilizer
 // membership, gauges, logicals) that identifies a code for patch-base reuse.
+// It is built by appending, without fmt or per-operator strings, because
+// every cache lookup computes it.
 func codeStructFingerprint(c *code.Code) string {
-	var sb strings.Builder
-	writeCodeFingerprint(&sb, c)
-	return sb.String()
+	b := make([]byte, 0, 1024)
+	b = append(b, "D:"...)
+	for _, q := range c.DataQubits() {
+		b = append(appendRowCol(b, q, '.'), ',')
+	}
+	b = append(b, "S:"...)
+	for _, q := range c.SyndromeQubits() {
+		b = append(appendRowCol(b, q, '.'), ',')
+	}
+	b = append(b, "stabs:"...)
+	for _, s := range c.Stabs() {
+		b = appendOp(append(b, '{'), s.Op)
+		b = appendRowCol(append(b, '@'), s.Ancilla, '.')
+		b = strconv.AppendBool(append(b, '/'), s.Direct)
+		b = append(b, "/["...)
+		for i, id := range s.MemberIDs {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(id), 10)
+		}
+		b = append(b, "]}"...)
+	}
+	b = append(b, "gauges:"...)
+	for _, g := range c.Gauges() {
+		b = appendOp(append(b, '{'), g.Op)
+		b = appendRowCol(append(b, '@'), g.Ancilla, '.')
+		b = append(strconv.AppendBool(append(b, '/'), g.Direct), '}')
+	}
+	b = appendOp(append(b, "LX:"...), c.LogicalX())
+	b = appendOp(append(b, ",LZ:"...), c.LogicalZ())
+	return string(b)
 }
 
-func writeCodeFingerprint(sb *strings.Builder, c *code.Code) {
-	sb.WriteString("D:")
-	for _, q := range c.DataQubits() {
-		fmt.Fprintf(sb, "%d.%d,", q.Row, q.Col)
+// appendRowCol appends "<row><sep><col>".
+func appendRowCol(b []byte, q lattice.Coord, sep byte) []byte {
+	b = append(strconv.AppendInt(b, int64(q.Row), 10), sep)
+	return strconv.AppendInt(b, int64(q.Col), 10)
+}
+
+// appendOp appends the bytes of o.String() ("X(1,1) Y(1,3) ..." over the
+// sorted support, "I" for the identity) by merging the X and Z supports.
+func appendOp(b []byte, o pauli.Op) []byte {
+	xs, zs := o.XSupport(), o.ZSupport()
+	if len(xs) == 0 && len(zs) == 0 {
+		return append(b, 'I')
 	}
-	sb.WriteString("S:")
-	for _, q := range c.SyndromeQubits() {
-		fmt.Fprintf(sb, "%d.%d,", q.Row, q.Col)
+	for i, j := 0, 0; i < len(xs) || j < len(zs); {
+		if i+j > 0 {
+			b = append(b, ' ')
+		}
+		var q lattice.Coord
+		switch {
+		case j == len(zs) || (i < len(xs) && xs[i].Less(zs[j])):
+			q = xs[i]
+			b = append(b, 'X')
+			i++
+		case i == len(xs) || zs[j].Less(xs[i]):
+			q = zs[j]
+			b = append(b, 'Z')
+			j++
+		default:
+			q = xs[i]
+			b = append(b, 'Y')
+			i++
+			j++
+		}
+		b = append(appendRowCol(append(b, '('), q, ','), ')')
 	}
-	sb.WriteString("stabs:")
-	for _, s := range c.Stabs() {
-		fmt.Fprintf(sb, "{%s@%d.%d/%v/%v}", s.Op.String(), s.Ancilla.Row, s.Ancilla.Col, s.Direct, s.MemberIDs)
-	}
-	sb.WriteString("gauges:")
-	for _, g := range c.Gauges() {
-		fmt.Fprintf(sb, "{%s@%d.%d/%v}", g.Op.String(), g.Ancilla.Row, g.Ancilla.Col, g.Direct)
-	}
-	fmt.Fprintf(sb, "LX:%s,LZ:%s", c.LogicalX().String(), c.LogicalZ().String())
+	return b
 }
 
 func writeModelFingerprint(sb *strings.Builder, m *noise.Model) {

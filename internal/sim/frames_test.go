@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
 )
@@ -40,16 +41,36 @@ func TestFrameSimulatorDetectorLayoutMatchesDEM(t *testing.T) {
 }
 
 // TestFrameSimulatorCrossValidatesDEM is the decisive consistency check of
-// the whole simulation stack: the DEM path (fault enumeration + mechanism
-// sampling) and the direct frame simulation must produce statistically
-// identical detector-event rates and logical-flip rates, since they model
-// the same circuit under the same noise.
+// the whole simulation stack: the DEM path (backward-sweep fault analysis +
+// mechanism sampling) and the direct frame simulation must produce
+// statistically identical detector-event rates and logical-flip rates,
+// since they model the same circuit under the same noise. It covers both
+// memory bases on the pristine d=3 patch and on the deformed d=5 patch
+// (removed data qubit, super-stabilizers), ≈30k shots per path and case.
 func TestFrameSimulatorCrossValidatesDEM(t *testing.T) {
-	c := freshCode(t, 3)
+	for _, tc := range []struct {
+		name  string
+		c     *code.Code
+		basis lattice.CheckType
+	}{
+		{"d3-Z", freshCode(t, 3), lattice.ZCheck},
+		{"d3-X", freshCode(t, 3), lattice.XCheck},
+		{"d5-removed-Z", deformedCode(t), lattice.ZCheck},
+		{"d5-removed-X", deformedCode(t), lattice.XCheck},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			crossValidateDEM(t, tc.c, tc.basis)
+		})
+	}
+}
+
+// crossValidateDEM samples c's memory experiment through the DEM and through
+// the frame simulator and compares the event statistics.
+func crossValidateDEM(t *testing.T, c *code.Code, basis lattice.CheckType) {
 	model := noise.Uniform(5e-3)
 	const rounds = 4
 
-	dem, err := BuildDEM(c, model, rounds, lattice.ZCheck)
+	dem, err := BuildDEM(c, model, rounds, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +91,7 @@ func TestFrameSimulatorCrossValidatesDEM(t *testing.T) {
 		}
 	}
 
-	f, err := NewFrameSimulator(c, model, rounds, lattice.ZCheck)
+	f, err := NewFrameSimulator(c, model, rounds, basis)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ var (
 )
 
 // Contribution kinds. Each recorded contribution re-evaluates to exactly
-// the probability addMech folded during the original build:
+// the probability the original build folded:
 //
 //	contribMeasReset → model.RateM(coords[a])
 //	contribCX        → model.Rate2(coords[a], coords[b]) / 15
@@ -29,11 +29,17 @@ const (
 	contribIdle
 )
 
-// planContrib is one elementary fault contribution to a merged mechanism,
-// in the order addMech folded it.
+// planContrib is a run of n identical elementary fault contributions to a
+// merged mechanism, in the order the build folded them.
 type planContrib struct {
 	a, b int32
 	kind uint8
+	n    uint16
+}
+
+// sameSource reports whether c is the same elementary contribution as pc.
+func (pc planContrib) sameSource(c planContrib) bool {
+	return pc.a == c.a && pc.b == c.b && pc.kind == c.kind
 }
 
 // planCore is the immutable, model-independent part of a contribution plan.
@@ -46,7 +52,7 @@ type planCore struct {
 	qIdx   map[lattice.Coord]int32
 
 	// contribs, CSR-indexed by mechOff, lists each mechanism's
-	// contributions in original fold order.
+	// contribution runs in original fold order.
 	mechOff  []int32
 	contribs []planContrib
 
@@ -232,7 +238,9 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 			default: // contribIdle
 				p = model.Rate1(core.coords[c.a]) / 3
 			}
-			q = q + p - 2*q*p
+			for range c.n {
+				q = q + p - 2*q*p
+			}
 		}
 		mechs[mi].P = q
 	}
