@@ -165,9 +165,6 @@ func TestDEMBuildMatchesForwardReference(t *testing.T) {
 		models := equivalenceModels(tc.c)
 		for _, basis := range []lattice.CheckType{lattice.ZCheck, lattice.XCheck} {
 			for _, rounds := range roundsSet {
-				if tc.name == "d7" && rounds == 8 {
-					continue // the forward reference is slow at d=7; 6 rounds covers it
-				}
 				for _, md := range models {
 					m := md.m
 					ctx := fmt.Sprintf("%s/%v/r%d/%s", tc.name, basis, rounds, md.name)
