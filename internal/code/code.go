@@ -17,7 +17,7 @@ package code
 
 import (
 	"fmt"
-	"sort"
+	"sync/atomic"
 
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/pauli"
@@ -59,6 +59,78 @@ type Code struct {
 
 	logicalX pauli.Op
 	logicalZ pauli.Op
+
+	memo memo
+}
+
+// memo caches structure derived purely from the code's content: the
+// sorted data-qubit index, both dressed distances and the structural
+// fingerprint. Each value fills lazily on first read and every mutator
+// resets the whole memo, so a read always reflects the current content
+// (see DESIGN.md, "Derived-structure memo").
+//
+// Concurrent readers of an unmutated code are race-free: each slot is an
+// atomic, and two readers that both find a slot empty compute the same
+// pure value, so whichever store lands last is as good as the first.
+// Mutation still requires exclusive access, as for every other field.
+type memo struct {
+	qubits atomic.Pointer[qubitIndex]
+	dist   [2]atomic.Int64 // by lattice.CheckType; distance+1, 0 = unset
+	fp     atomic.Pointer[string]
+}
+
+// invalidate empties the memo; every write to the code calls it.
+func (c *Code) invalidate() {
+	c.memo.qubits.Store(nil)
+	c.memo.dist[lattice.XCheck].Store(0)
+	c.memo.dist[lattice.ZCheck].Store(0)
+	c.memo.fp.Store(nil)
+}
+
+// qubitIndex is the sorted data-qubit list plus a dense lookup over its
+// bounding box, so chain-graph builds resolve a coordinate to its index
+// without a map.
+type qubitIndex struct {
+	list       []lattice.Coord
+	row0, col0 int
+	rows, cols int
+	at         []int32 // (row-row0)*cols + (col-col0) -> index in list, or -1
+}
+
+// index returns the position of q in the sorted list, or -1.
+func (x *qubitIndex) index(q lattice.Coord) int {
+	r, c := q.Row-x.row0, q.Col-x.col0
+	if r < 0 || r >= x.rows || c < 0 || c >= x.cols {
+		return -1
+	}
+	return int(x.at[r*x.cols+c])
+}
+
+// dataIndex returns the memoized qubit index, building it on first use.
+func (c *Code) dataIndex() *qubitIndex {
+	if x := c.memo.qubits.Load(); x != nil {
+		return x
+	}
+	list := make([]lattice.Coord, 0, len(c.data))
+	for q := range c.data {
+		list = append(list, q)
+	}
+	lattice.SortCoords(list)
+	x := &qubitIndex{list: list}
+	if len(list) > 0 {
+		lo, hi := c.Bounds()
+		x.row0, x.col0 = lo.Row, lo.Col
+		x.rows, x.cols = hi.Row-lo.Row+1, hi.Col-lo.Col+1
+		x.at = make([]int32, x.rows*x.cols)
+		for i := range x.at {
+			x.at[i] = -1
+		}
+		for i, q := range list {
+			x.at[(q.Row-x.row0)*x.cols+q.Col-x.col0] = int32(i)
+		}
+	}
+	c.memo.qubits.Store(x)
+	return x
 }
 
 // New returns an empty code over the given data and syndrome qubits, with
@@ -104,7 +176,7 @@ func FromPatch(p *lattice.Patch) *Code {
 	return c
 }
 
-// Clone returns a deep copy of the code.
+// Clone returns a deep copy of the code. The copy starts with an empty memo.
 func (c *Code) Clone() *Code {
 	n := &Code{
 		data:      make(map[lattice.Coord]bool, len(c.data)),
@@ -142,15 +214,9 @@ func (c *Code) HasData(q lattice.Coord) bool { return c.data[q] }
 // HasSyndrome reports whether q is an active syndrome qubit.
 func (c *Code) HasSyndrome(q lattice.Coord) bool { return c.syndromes[q] }
 
-// DataQubits returns the sorted list of active data qubits.
-func (c *Code) DataQubits() []lattice.Coord {
-	out := make([]lattice.Coord, 0, len(c.data))
-	for q := range c.data {
-		out = append(out, q)
-	}
-	lattice.SortCoords(out)
-	return out
-}
+// DataQubits returns the sorted list of active data qubits. The slice is
+// memoized and shared; callers must not mutate it.
+func (c *Code) DataQubits() []lattice.Coord { return c.dataIndex().list }
 
 // SyndromeQubits returns the sorted list of active syndrome qubits.
 func (c *Code) SyndromeQubits() []lattice.Coord {
@@ -175,10 +241,27 @@ func (c *Code) LogicalX() pauli.Op { return c.logicalX }
 func (c *Code) LogicalZ() pauli.Op { return c.logicalZ }
 
 // SetLogicalX replaces the representative logical X operator.
-func (c *Code) SetLogicalX(op pauli.Op) { c.logicalX = op }
+func (c *Code) SetLogicalX(op pauli.Op) {
+	c.logicalX = op
+	c.invalidate()
+}
 
 // SetLogicalZ replaces the representative logical Z operator.
-func (c *Code) SetLogicalZ(op pauli.Op) { c.logicalZ = op }
+func (c *Code) SetLogicalZ(op pauli.Op) {
+	c.logicalZ = op
+	c.invalidate()
+}
+
+// Adopt replaces c's content with work's, taking over its storage: the
+// commit step of a clone-mutate-validate edit. work must not be used
+// afterwards. A struct copy would also copy the memo's atomics, which go
+// vet rejects.
+func (c *Code) Adopt(work *Code) {
+	c.data, c.syndromes = work.data, work.syndromes
+	c.stabs, c.gauges, c.nextID = work.stabs, work.gauges, work.nextID
+	c.logicalX, c.logicalZ = work.logicalX, work.logicalZ
+	c.invalidate()
+}
 
 // StabByID returns the stabilizer with the given ID.
 func (c *Code) StabByID(id int) (Stab, bool) {
@@ -251,6 +334,7 @@ func (c *Code) GaugeAtAncilla(a lattice.Coord) (Gauge, bool) {
 // AddStab appends a plain stabilizer measured at the given ancilla and
 // returns its ID.
 func (c *Code) AddStab(op pauli.Op, ancilla lattice.Coord) int {
+	c.invalidate()
 	id := c.nextID
 	c.nextID++
 	c.stabs = append(c.stabs, Stab{ID: id, Op: op, Ancilla: ancilla})
@@ -260,6 +344,7 @@ func (c *Code) AddStab(op pauli.Op, ancilla lattice.Coord) int {
 // AddDirectStab appends a weight-1 stabilizer fixed by direct data-qubit
 // measurement (gauge fixing of a single-qubit operator) and returns its ID.
 func (c *Code) AddDirectStab(op pauli.Op) int {
+	c.invalidate()
 	id := c.nextID
 	c.nextID++
 	anc := lattice.Coord{}
@@ -273,6 +358,7 @@ func (c *Code) AddDirectStab(op pauli.Op) int {
 // AddSuperStab appends a super-stabilizer inferred from the given gauge
 // members and returns its ID.
 func (c *Code) AddSuperStab(op pauli.Op, memberIDs []int) int {
+	c.invalidate()
 	id := c.nextID
 	c.nextID++
 	c.stabs = append(c.stabs, Stab{ID: id, Op: op, MemberIDs: append([]int(nil), memberIDs...)})
@@ -281,6 +367,7 @@ func (c *Code) AddSuperStab(op pauli.Op, memberIDs []int) int {
 
 // AddGauge appends a measured gauge operator and returns its ID.
 func (c *Code) AddGauge(op pauli.Op, ancilla lattice.Coord, direct bool) int {
+	c.invalidate()
 	id := c.nextID
 	c.nextID++
 	c.gauges = append(c.gauges, Gauge{ID: id, Op: op, Ancilla: ancilla, Direct: direct})
@@ -292,6 +379,7 @@ func (c *Code) RemoveStab(id int) bool {
 	for i, s := range c.stabs {
 		if s.ID == id {
 			c.stabs = append(c.stabs[:i], c.stabs[i+1:]...)
+			c.invalidate()
 			return true
 		}
 	}
@@ -328,6 +416,7 @@ func (c *Code) RemoveGauge(id int) bool {
 		}
 	}
 	c.stabs = keep
+	c.invalidate()
 	return true
 }
 
@@ -336,6 +425,7 @@ func (c *Code) ReplaceStabOp(id int, op pauli.Op) bool {
 	for i := range c.stabs {
 		if c.stabs[i].ID == id {
 			c.stabs[i].Op = op
+			c.invalidate()
 			return true
 		}
 	}
@@ -347,6 +437,7 @@ func (c *Code) ReplaceGaugeOp(id int, op pauli.Op) bool {
 	for i := range c.gauges {
 		if c.gauges[i].ID == id {
 			c.gauges[i].Op = op
+			c.invalidate()
 			return true
 		}
 	}
@@ -359,6 +450,7 @@ func (c *Code) AddDataQubit(q lattice.Coord) error {
 		return fmt.Errorf("code: data qubit %v already present", q)
 	}
 	c.data[q] = true
+	c.invalidate()
 	return nil
 }
 
@@ -382,6 +474,7 @@ func (c *Code) RemoveDataQubit(q lattice.Coord) error {
 		return fmt.Errorf("code: a logical operator still acts on %v", q)
 	}
 	delete(c.data, q)
+	c.invalidate()
 	return nil
 }
 
@@ -391,6 +484,7 @@ func (c *Code) AddSyndromeQubit(q lattice.Coord) error {
 		return fmt.Errorf("code: syndrome qubit %v already present", q)
 	}
 	c.syndromes[q] = true
+	c.invalidate()
 	return nil
 }
 
@@ -411,6 +505,7 @@ func (c *Code) RemoveSyndromeQubit(q lattice.Coord) error {
 		}
 	}
 	delete(c.syndromes, q)
+	c.invalidate()
 	return nil
 }
 
@@ -443,14 +538,4 @@ func (c *Code) Bounds() (min, max lattice.Coord) {
 func (c *Code) String() string {
 	return fmt.Sprintf("code{data:%d syn:%d stabs:%d gauges:%d dX:%d dZ:%d}",
 		len(c.data), len(c.syndromes), len(c.stabs), len(c.gauges), c.DistanceX(), c.DistanceZ())
-}
-
-// sortedStabIDs returns stabilizer IDs ascending (test helper determinism).
-func (c *Code) sortedStabIDs() []int {
-	ids := make([]int, len(c.stabs))
-	for i, s := range c.stabs {
-		ids[i] = s.ID
-	}
-	sort.Ints(ids)
-	return ids
 }

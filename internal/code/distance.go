@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"surfdeformer/internal/lattice"
-	"surfdeformer/internal/pauli"
 )
 
 // Distance computation.
@@ -44,142 +43,163 @@ func (c *Code) Distance() int {
 
 const unreachable = 1 << 30
 
+// distance returns the memoized distance of the given type, running the
+// chain-graph search on first use after a mutation.
+func (c *Code) distance(logicalType lattice.CheckType) int {
+	slot := &c.memo.dist[logicalType]
+	if d := slot.Load(); d > 0 {
+		return int(d - 1)
+	}
+	d := unreachable
+	if qubits, err := c.shortestLogicalPath(logicalType); err == nil {
+		d = len(qubits)
+	}
+	slot.Store(int64(d) + 1)
+	return d
+}
+
 // chainEdge is one edge of the chain graph: the data qubit it represents,
 // its endpoints (generator indices, or the boundary node), and its crossing
 // parity with the opposite bare logical.
 type chainEdge struct {
-	u, v   int
+	u, v   int32
 	qubit  lattice.Coord
 	parity bool
 }
 
 // chainGraph builds the chain graph for type-T logicals. It returns the
-// edge list and the number of real vertices (the boundary node has index
-// nGen).
+// edge list, one edge per data qubit in sorted order, and the number of
+// real vertices (the boundary node has index nGen).
 func (c *Code) chainGraph(logicalType lattice.CheckType) (edges []chainEdge, nGen int, err error) {
 	consType := logicalType.Opposite()
-	var gens []pauli.Op
+	qx := c.dataIndex()
+	n := len(qx.list)
+	// ends[2i], ends[2i+1] are the first two generators touching qubit i,
+	// in generator order; touches[i] counts all of them.
+	ends := make([]int32, 2*n)
+	touches := make([]int32, n)
 	for _, s := range c.stabs {
 		t, ok := s.Op.CSSType()
-		if ok && t == consType && !s.Op.IsIdentity() {
-			gens = append(gens, s.Op)
+		if !ok || t != consType || s.Op.IsIdentity() {
+			continue
 		}
-	}
-	genOf := map[lattice.Coord][]int{}
-	for gi, g := range gens {
-		for _, q := range g.Support() {
-			genOf[q] = append(genOf[q], gi)
+		supp := s.Op.XSupport()
+		if consType == lattice.ZCheck {
+			supp = s.Op.ZSupport()
 		}
+		for _, q := range supp {
+			if i := qx.index(q); i >= 0 {
+				if touches[i] < 2 {
+					ends[2*i+int(touches[i])] = int32(nGen)
+				}
+				touches[i]++
+			}
+		}
+		nGen++
 	}
-	nGen = len(gens)
-	boundary := nGen
-	crossing := c.logicalX
+	boundary := int32(nGen)
+	// A type-T single-qubit operator anti-commutes with the opposite
+	// logical exactly where that logical carries the other Pauli: Z(q)
+	// crosses X̄ on its X support, X(q) crosses Z̄ on its Z support.
+	crossing := c.logicalX.XSupport()
 	if logicalType == lattice.XCheck {
-		crossing = c.logicalZ
+		crossing = c.logicalZ.ZSupport()
+	}
+	edges = make([]chainEdge, n)
+	for _, q := range crossing {
+		if i := qx.index(q); i >= 0 {
+			edges[i].parity = true
+		}
 	}
 	// Deterministic edge order (and hence BFS tie-breaking): which
 	// minimum-weight walk wins decides the installed logical representative,
 	// and downstream consumers (the bandage construction's gauge demotion)
 	// are representative-*class* invariant only — two representatives that
 	// differ by a check later demoted to a gauge stop being equivalent.
-	for _, q := range c.DataQubits() {
-		var op pauli.Op
-		if logicalType == lattice.ZCheck {
-			op = pauli.Z(q)
-		} else {
-			op = pauli.X(q)
-		}
-		parity := !op.Commutes(crossing)
-		gs := genOf[q]
-		switch len(gs) {
+	for i, q := range qx.list {
+		e := &edges[i]
+		e.qubit, e.u, e.v = q, boundary, boundary
+		switch touches[i] {
 		case 2:
-			edges = append(edges, chainEdge{gs[0], gs[1], q, parity})
+			e.u, e.v = ends[2*i], ends[2*i+1]
 		case 1:
-			edges = append(edges, chainEdge{gs[0], boundary, q, parity})
+			e.u = ends[2*i]
 		case 0:
-			edges = append(edges, chainEdge{boundary, boundary, q, parity})
 		default:
 			return nil, 0, fmt.Errorf("code: qubit %v touched by %d %v-generators; chain graph undefined",
-				q, len(gs), consType)
+				q, touches[i], consType)
 		}
 	}
 	return edges, nGen, nil
 }
 
-func (c *Code) distance(logicalType lattice.CheckType) int {
-	qubits, err := c.shortestLogicalPath(logicalType)
-	if err != nil {
-		return unreachable
-	}
-	return len(qubits)
-}
-
 // shortestLogicalPath finds the qubits of a minimum-weight type-T logical:
-// the shortest ∂→∂ walk with odd crossing parity.
+// the shortest ∂→∂ walk with odd crossing parity, by BFS over (vertex,
+// parity) states indexed 2·vertex + parity.
 func (c *Code) shortestLogicalPath(logicalType lattice.CheckType) ([]lattice.Coord, error) {
 	edges, nGen, err := c.chainGraph(logicalType)
 	if err != nil {
 		return nil, err
 	}
-	boundary := nGen
-	adj := make([][]int, nGen+1) // edge indices per vertex
-	for i, e := range edges {
-		adj[e.u] = append(adj[e.u], i)
+	// Incident edges per vertex in edge order (CSR), self-loops once.
+	nv := nGen + 1
+	off := make([]int32, nv+1)
+	for _, e := range edges {
+		off[e.u+1]++
 		if e.v != e.u {
-			adj[e.v] = append(adj[e.v], i)
+			off[e.v+1]++
 		}
 	}
-	// BFS over (vertex, parity).
-	type state struct {
-		v      int
-		parity int
+	for v := 0; v < nv; v++ {
+		off[v+1] += off[v]
 	}
-	idx := func(s state) int { return s.v*2 + s.parity }
-	dist := make([]int, (nGen+1)*2)
-	prevEdge := make([]int, (nGen+1)*2)
-	prevState := make([]int, (nGen+1)*2)
-	for i := range dist {
-		dist[i] = unreachable
+	adj := make([]int32, off[nv])
+	fill := append([]int32(nil), off[:nv]...)
+	for i, e := range edges {
+		adj[fill[e.u]] = int32(i)
+		fill[e.u]++
+		if e.v != e.u {
+			adj[fill[e.v]] = int32(i)
+			fill[e.v]++
+		}
+	}
+	// Every state is enqueued at most once, so prevEdge marks it visited.
+	start, goal := int32(2*nGen), int32(2*nGen+1)
+	prevEdge := make([]int32, 2*nv)
+	prevState := make([]int32, 2*nv)
+	for i := range prevEdge {
 		prevEdge[i] = -1
-		prevState[i] = -1
 	}
-	start := state{boundary, 0}
-	goal := state{boundary, 1}
-	dist[idx(start)] = 0
-	queue := []state{start}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	queue := make([]int32, 1, 2*nv)
+	queue[0] = start
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
 		if s == goal {
 			break
 		}
-		for _, ei := range adj[s.v] {
-			e := edges[ei]
-			to := e.v
-			if to == s.v && e.u != e.v {
-				to = e.u
+		v := s >> 1
+		for _, ei := range adj[off[v]:off[v+1]] {
+			e := &edges[ei]
+			to := e.u
+			if to == v {
+				to = e.v // the other endpoint; a self-loop stays at v
 			}
-			if e.u == e.v {
-				to = s.v // self-loop at the boundary
-			}
-			p := s.parity
+			ns := to<<1 | s&1
 			if e.parity {
-				p ^= 1
+				ns ^= 1
 			}
-			ns := state{to, p}
-			if dist[idx(ns)] > dist[idx(s)]+1 {
-				dist[idx(ns)] = dist[idx(s)] + 1
-				prevEdge[idx(ns)] = ei
-				prevState[idx(ns)] = idx(s)
+			if ns != start && prevEdge[ns] < 0 {
+				prevEdge[ns] = ei
+				prevState[ns] = s
 				queue = append(queue, ns)
 			}
 		}
 	}
-	if dist[idx(goal)] >= unreachable {
+	if prevEdge[goal] < 0 {
 		return nil, fmt.Errorf("code: no %v logical operator exists", logicalType)
 	}
 	var qubits []lattice.Coord
-	for si := idx(goal); prevEdge[si] >= 0; si = prevState[si] {
+	for si := goal; prevEdge[si] >= 0; si = prevState[si] {
 		qubits = append(qubits, edges[prevEdge[si]].qubit)
 	}
 	return qubits, nil

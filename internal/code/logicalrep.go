@@ -88,16 +88,12 @@ func (c *Code) RepairLogical(op pauli.Op) (pauli.Op, error) {
 // span of the same-type measured operators. The result is valid but not
 // necessarily minimum weight; it seeds the graph-based refinement.
 func (c *Code) AlgebraicLogical(logicalType lattice.CheckType) (pauli.Op, error) {
-	qubits := c.DataQubits()
-	idx := make(map[lattice.Coord]int, len(qubits))
-	for i, q := range qubits {
-		idx[q] = i
-	}
-	n := len(qubits)
+	x := c.dataIndex()
+	qubits, n := x.list, len(x.list)
 	supportVec := func(op pauli.Op) gf2.Vec {
 		v := gf2.NewVec(n)
 		for _, q := range op.Support() {
-			if i, ok := idx[q]; ok {
+			if i := x.index(q); i >= 0 {
 				v.Set(i, true)
 			}
 		}
@@ -149,7 +145,7 @@ func (c *Code) RefreshLogicals() error {
 	if err != nil {
 		return err
 	}
-	c.logicalZ = seed
+	c.SetLogicalZ(seed)
 	refresh := func(typ lattice.CheckType) error {
 		rep, err := c.LogicalRep(typ)
 		if err != nil {
@@ -160,9 +156,9 @@ func (c *Code) RefreshLogicals() error {
 			return fmt.Errorf("code: logical %v: %w", typ, err)
 		}
 		if typ == lattice.ZCheck {
-			c.logicalZ = rep
+			c.SetLogicalZ(rep)
 		} else {
-			c.logicalX = rep
+			c.SetLogicalX(rep)
 		}
 		return nil
 	}

@@ -8,30 +8,21 @@ import (
 	"surfdeformer/internal/pauli"
 )
 
-// qubitIndex returns a dense index over the active data qubits in row-major
-// order, used to build symplectic GF(2) vectors.
-func (c *Code) qubitIndex() (map[lattice.Coord]int, int) {
-	qs := c.DataQubits()
-	idx := make(map[lattice.Coord]int, len(qs))
-	for i, q := range qs {
-		idx[q] = i
-	}
-	return idx, len(qs)
-}
-
-// opVec encodes op as a length-2n symplectic vector [x-part | z-part].
-func opVec(op pauli.Op, idx map[lattice.Coord]int, n int) (gf2.Vec, error) {
+// opVec encodes op as a length-2n symplectic vector [x-part | z-part] over
+// the data-qubit index x (n = len(x.list)).
+func opVec(op pauli.Op, x *qubitIndex) (gf2.Vec, error) {
+	n := len(x.list)
 	v := gf2.NewVec(2 * n)
 	for _, q := range op.XSupport() {
-		i, ok := idx[q]
-		if !ok {
+		i := x.index(q)
+		if i < 0 {
 			return gf2.Vec{}, fmt.Errorf("code: operator acts on inactive qubit %v", q)
 		}
 		v.Set(i, true)
 	}
 	for _, q := range op.ZSupport() {
-		i, ok := idx[q]
-		if !ok {
+		i := x.index(q)
+		if i < 0 {
 			return gf2.Vec{}, fmt.Errorf("code: operator acts on inactive qubit %v", q)
 		}
 		v.Set(n+i, true)
@@ -49,7 +40,8 @@ func opVec(op pauli.Op, idx map[lattice.Coord]int, n int) (gf2.Vec, error) {
 // has rank r − 2l and k = n − r + l. This is robust to intermediate states
 // where a super-stabilizer exists in the group but is not listed explicitly.
 func (c *Code) Params() (n, k, l int, err error) {
-	idx, nq := c.qubitIndex()
+	x := c.dataIndex()
+	nq := len(x.list)
 	ops := make([]pauli.Op, 0, len(c.stabs)+len(c.gauges))
 	for _, s := range c.stabs {
 		ops = append(ops, s.Op)
@@ -59,7 +51,7 @@ func (c *Code) Params() (n, k, l int, err error) {
 	}
 	m := gf2.NewMatrix(0, 2*nq)
 	for _, op := range ops {
-		v, err := opVec(op, idx, nq)
+		v, err := opVec(op, x)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -89,7 +81,8 @@ func (c *Code) Params() (n, k, l int, err error) {
 // yet recorded). A fully-booked code has deficit zero: every deterministic
 // parity check is available to the decoder.
 func (c *Code) CenterDeficit() (int, error) {
-	idx, nq := c.qubitIndex()
+	x := c.dataIndex()
+	nq := len(x.list)
 	n, k, l, err := c.Params()
 	if err != nil {
 		return 0, err
@@ -98,7 +91,7 @@ func (c *Code) CenterDeficit() (int, error) {
 	centerRank := nq - k - l
 	stabM := gf2.NewMatrix(0, 2*nq)
 	for _, s := range c.stabs {
-		v, err := opVec(s.Op, idx, nq)
+		v, err := opVec(s.Op, x)
 		if err != nil {
 			return 0, err
 		}
@@ -221,10 +214,11 @@ func (c *Code) Validate() error {
 		}
 	}
 	// (1 again) independence, and (6) k = 1.
-	idx, nq := c.qubitIndex()
+	x := c.dataIndex()
+	nq := len(x.list)
 	stabM := gf2.NewMatrix(0, 2*nq)
 	for _, s := range c.stabs {
-		v, err := opVec(s.Op, idx, nq)
+		v, err := opVec(s.Op, x)
 		if err != nil {
 			return err
 		}

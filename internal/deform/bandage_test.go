@@ -2,6 +2,7 @@ package deform
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -54,6 +55,17 @@ func operatorFingerprint(c *code.Code) string {
 	sort.Strings(gauges)
 	return fmt.Sprintf("data=%v syn=%v stabs=%v gauges=%v",
 		c.DataQubits(), c.SyndromeQubits(), stabs, gauges)
+}
+
+// checkMemo requires c's memoized derived values (filling any empty slot)
+// to equal those of a fresh Clone, which recomputes them from scratch.
+func checkMemo(t *testing.T, c *code.Code, when string) {
+	t.Helper()
+	fresh := c.Clone()
+	if c.DistanceX() != fresh.DistanceX() || c.DistanceZ() != fresh.DistanceZ() ||
+		!reflect.DeepEqual(c.DataQubits(), fresh.DataQubits()) || c.Fingerprint() != fresh.Fingerprint() {
+		t.Fatalf("%s: memoized values differ from a recomputation", when)
+	}
 }
 
 // TestBandageInterior pins the bulk construction: both merged products are
@@ -293,13 +305,18 @@ func TestUnitBandageLifecycle(t *testing.T) {
 
 // FuzzBandage exercises the build/undo scripts over arbitrary site pairs:
 // every outcome must keep the code valid (success) or untouched (failure),
-// and undoing in reverse order must restore the starting point.
+// undoing in reverse order must restore the starting point, and the code's
+// memo must match a recomputation after every step.
 func FuzzBandage(f *testing.F) {
 	f.Add(int16(2), int16(2), int16(2), int16(6))
 	f.Add(int16(0), int16(0), int16(8), int16(8))
 	f.Add(int16(4), int16(4), int16(4), int16(6))
 	f.Add(int16(2), int16(6), int16(6), int16(2))
 	f.Add(int16(-2), int16(3), int16(100), int16(100))
+	// Data-qubit sites: the seeds above are all check or off-patch
+	// coordinates, which only exercise the failure path.
+	f.Add(int16(3), int16(3), int16(7), int16(7))
+	f.Add(int16(5), int16(5), int16(5), int16(7))
 	f.Fuzz(func(t *testing.T, r1, c1, r2, c2 int16) {
 		c := freshCode(t, 5)
 		orig := codeFingerprint(c)
@@ -309,7 +326,9 @@ func FuzzBandage(f *testing.F) {
 			{Row: int(r2), Col: int(c2)},
 		} {
 			before := codeFingerprint(c)
+			checkMemo(t, c, "before bandage")
 			b, err := BandageQubit(c, q)
+			checkMemo(t, c, "after bandage")
 			if err != nil {
 				if got := codeFingerprint(c); got != before {
 					t.Fatalf("failed bandage %v mutated the code", q)
@@ -325,6 +344,7 @@ func FuzzBandage(f *testing.F) {
 			if err := undos[i].Undo(c); err != nil {
 				t.Fatalf("undo %v: %v", undos[i].Site, err)
 			}
+			checkMemo(t, c, "after undo")
 		}
 		if got := codeFingerprint(c); got != orig {
 			t.Fatalf("undo stack did not restore the code")

@@ -10,7 +10,6 @@ import (
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
 	"surfdeformer/internal/obs"
-	"surfdeformer/internal/pauli"
 )
 
 // Process-wide cache metrics, aggregated across every DEMCache instance
@@ -88,7 +87,7 @@ func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, 
 // re-rates it. Hit/miss accounting is the same either way: a patch fill is
 // still a miss.
 func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, string, error) {
-	codeFP := codeStructFingerprint(c)
+	codeFP := c.Fingerprint()
 	key := demCacheKey(codeFP, model, rounds, basis)
 	dc.mu.Lock()
 	if dem, ok := dc.entries[key]; ok {
@@ -109,7 +108,7 @@ func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model 
 	}
 	if !ok {
 		var err error
-		dem, err = buildDEM(c, func(int) *noise.Model { return model }, rounds, basis, patchableBase(model), codeFP)
+		dem, err = buildDEM(c, func(int) *noise.Model { return model }, rounds, basis, patchableBase(model))
 		if err != nil {
 			return nil, "", err
 		}
@@ -188,84 +187,6 @@ func demCacheKey(codeFP string, model *noise.Model, rounds int, basis lattice.Ch
 	sb.WriteByte('|')
 	writeModelFingerprint(&sb, model)
 	return sb.String()
-}
-
-// codeStructFingerprint is the code portion of demCacheKey on its own: the
-// full structural serialization (qubits, stabilizers with super-stabilizer
-// membership, gauges, logicals) that identifies a code for patch-base reuse.
-// It is built by appending, without fmt or per-operator strings, because
-// every cache lookup computes it.
-func codeStructFingerprint(c *code.Code) string {
-	b := make([]byte, 0, 1024)
-	b = append(b, "D:"...)
-	for _, q := range c.DataQubits() {
-		b = append(appendRowCol(b, q, '.'), ',')
-	}
-	b = append(b, "S:"...)
-	for _, q := range c.SyndromeQubits() {
-		b = append(appendRowCol(b, q, '.'), ',')
-	}
-	b = append(b, "stabs:"...)
-	for _, s := range c.Stabs() {
-		b = appendOp(append(b, '{'), s.Op)
-		b = appendRowCol(append(b, '@'), s.Ancilla, '.')
-		b = strconv.AppendBool(append(b, '/'), s.Direct)
-		b = append(b, "/["...)
-		for i, id := range s.MemberIDs {
-			if i > 0 {
-				b = append(b, ' ')
-			}
-			b = strconv.AppendInt(b, int64(id), 10)
-		}
-		b = append(b, "]}"...)
-	}
-	b = append(b, "gauges:"...)
-	for _, g := range c.Gauges() {
-		b = appendOp(append(b, '{'), g.Op)
-		b = appendRowCol(append(b, '@'), g.Ancilla, '.')
-		b = append(strconv.AppendBool(append(b, '/'), g.Direct), '}')
-	}
-	b = appendOp(append(b, "LX:"...), c.LogicalX())
-	b = appendOp(append(b, ",LZ:"...), c.LogicalZ())
-	return string(b)
-}
-
-// appendRowCol appends "<row><sep><col>".
-func appendRowCol(b []byte, q lattice.Coord, sep byte) []byte {
-	b = append(strconv.AppendInt(b, int64(q.Row), 10), sep)
-	return strconv.AppendInt(b, int64(q.Col), 10)
-}
-
-// appendOp appends the bytes of o.String() ("X(1,1) Y(1,3) ..." over the
-// sorted support, "I" for the identity) by merging the X and Z supports.
-func appendOp(b []byte, o pauli.Op) []byte {
-	xs, zs := o.XSupport(), o.ZSupport()
-	if len(xs) == 0 && len(zs) == 0 {
-		return append(b, 'I')
-	}
-	for i, j := 0, 0; i < len(xs) || j < len(zs); {
-		if i+j > 0 {
-			b = append(b, ' ')
-		}
-		var q lattice.Coord
-		switch {
-		case j == len(zs) || (i < len(xs) && xs[i].Less(zs[j])):
-			q = xs[i]
-			b = append(b, 'X')
-			i++
-		case i == len(xs) || zs[j].Less(xs[i]):
-			q = zs[j]
-			b = append(b, 'Z')
-			j++
-		default:
-			q = xs[i]
-			b = append(b, 'Y')
-			i++
-			j++
-		}
-		b = append(appendRowCol(append(b, '('), q, ','), ')')
-	}
-	return b
 }
 
 func writeModelFingerprint(sb *strings.Builder, m *noise.Model) {

@@ -127,7 +127,7 @@ type ObsInfo struct {
 // exercising Z-type detectors against X errors) over the given number of
 // syndrome-extraction rounds.
 func BuildDEM(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
-	return buildDEM(c, func(int) *noise.Model { return model }, rounds, basis, patchableBase(model), "")
+	return buildDEM(c, func(int) *noise.Model { return model }, rounds, basis, patchableBase(model))
 }
 
 // patchableBase reports whether a constant-model build from m can serve as
@@ -171,9 +171,8 @@ type flatCircuit struct {
 // When record is non-nil the build additionally records the per-mechanism
 // contribution plan keyed to that base model (patch.go); phased builds pass
 // nil — their rates are round-dependent and cannot be replayed from a
-// single model. codeFP is c's codeStructFingerprint when the caller already
-// has it ("" to compute it here).
-func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis lattice.CheckType, record *noise.Model, codeFP string) (*DEM, error) {
+// single model.
+func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis lattice.CheckType, record *noise.Model) (*DEM, error) {
 	if rounds < 2 {
 		return nil, fmt.Errorf("sim: need at least 2 rounds, got %d", rounds)
 	}
@@ -260,10 +259,7 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 		core := &planCore{coords: coords, qIdx: fc.qIdx}
 		core.mechOff, core.contribs = mm.planCSR(order)
 		core.buildSiteIndex()
-		if codeFP == "" {
-			codeFP = codeStructFingerprint(c)
-		}
-		dem.plan = &demPlan{core: core, base: record, codeFP: codeFP}
+		dem.plan = &demPlan{core: core, base: record, codeFP: c.Fingerprint()}
 	}
 	return dem, nil
 }

@@ -427,7 +427,7 @@ func buildDEMRef(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 			core.mechOff[mi+1] = int32(len(core.contribs))
 		}
 		core.buildSiteIndex()
-		dem.plan = &demPlan{core: core, base: record, codeFP: codeStructFingerprint(c)}
+		dem.plan = &demPlan{core: core, base: record, codeFP: c.Fingerprint()}
 	}
 	return dem, nil
 }

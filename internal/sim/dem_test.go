@@ -12,7 +12,6 @@ import (
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
-	"surfdeformer/internal/pauli"
 	"surfdeformer/internal/surgery"
 )
 
@@ -71,7 +70,7 @@ func expandRuns(pc *planCore) (mechOff []int32, contribs []planContrib) {
 // produces.
 func assertMatchesReference(t *testing.T, c *code.Code, modelAt func(int) *noise.Model, rounds int, basis lattice.CheckType, record *noise.Model, ctx string) {
 	t.Helper()
-	got, err := buildDEM(c, modelAt, rounds, basis, record, "")
+	got, err := buildDEM(c, modelAt, rounds, basis, record)
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
@@ -308,7 +307,7 @@ func BenchmarkDEMBuildVsReference(b *testing.B) {
 		if ref {
 			_, err = buildDEMRef(c, modelAt, 6, lattice.ZCheck, model)
 		} else {
-			_, err = buildDEM(c, modelAt, 6, lattice.ZCheck, model, "")
+			_, err = buildDEM(c, modelAt, 6, lattice.ZCheck, model)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -343,8 +342,9 @@ func BenchmarkDEMBuildVsReference(b *testing.B) {
 }
 
 // TestCodeFingerprintMatchesStringForm pins the append-based code
-// fingerprint to the fmt/String serialization it replaces, byte for byte,
-// on codes with removals, super-stabilizers, gauges and Y-type logicals.
+// fingerprint (code.Code.Fingerprint, the code half of every DEM cache key)
+// to the fmt/String serialization it replaced, byte for byte, on codes with
+// removals, super-stabilizers, gauges and Y-type logicals.
 func TestCodeFingerprintMatchesStringForm(t *testing.T) {
 	for _, tc := range equivalenceCodes(t) {
 		c := tc.c
@@ -366,14 +366,8 @@ func TestCodeFingerprintMatchesStringForm(t *testing.T) {
 			fmt.Fprintf(&sb, "{%s@%d.%d/%v}", g.Op.String(), g.Ancilla.Row, g.Ancilla.Col, g.Direct)
 		}
 		fmt.Fprintf(&sb, "LX:%s,LZ:%s", c.LogicalX().String(), c.LogicalZ().String())
-		if got := codeStructFingerprint(c); got != sb.String() {
+		if got := c.Fingerprint(); got != sb.String() {
 			t.Fatalf("%s: fingerprint\n%s\nwant\n%s", tc.name, got, sb.String())
-		}
-	}
-	for _, op := range []pauli.Op{{}, pauli.Y(lattice.Coord{Row: 1, Col: 3}), pauli.FromSupports(
-		[]lattice.Coord{{Row: 1, Col: 1}, {Row: 3, Col: 1}}, []lattice.Coord{{Row: 1, Col: 1}, {Row: 1, Col: 5}})} {
-		if got := string(appendOp(nil, op)); got != op.String() {
-			t.Fatalf("appendOp = %q, want %q", got, op.String())
 		}
 	}
 }

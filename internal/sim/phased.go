@@ -51,5 +51,5 @@ func BuildPhasedDEM(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM
 	}
 	// Phased rates are round-dependent, so no single model can serve as a
 	// patch base: build without a contribution plan.
-	return buildDEM(c, modelAt, total, basis, nil, "")
+	return buildDEM(c, modelAt, total, basis, nil)
 }
