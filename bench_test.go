@@ -401,8 +401,9 @@ func buildBenchDEM() (*sim.DEM, error) {
 func BenchmarkCalibration(b *testing.B) {
 	var a, pth float64
 	for i := 0; i < b.N; i++ {
-		m, _, err := estimator.Calibrate([]float64{5e-3, 8e-3}, []int{3, 5}, 4, 1500,
-			decoder.UnionFindFactory(), int64(i+1))
+		m, _, err := estimator.CalibrateOpts([]float64{5e-3, 8e-3}, []int{3, 5}, estimator.CalibrateOptions{
+			Rounds: 4, Shots: 1500, Factory: decoder.UnionFindFactory(), Seed: int64(i + 1),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,8 +35,9 @@ func TestLambdaModelMonotone(t *testing.T) {
 func TestCalibrateRecoversModel(t *testing.T) {
 	// Calibrate against real simulations at measurable settings; the fit
 	// must interpolate its own calibration points within a factor ~3.
-	m, pts, err := Calibrate([]float64{4e-3, 6e-3}, []int{3, 5}, 4, 3000,
-		decoder.UnionFindFactory(), 17)
+	m, pts, err := CalibrateOpts([]float64{4e-3, 6e-3}, []int{3, 5}, CalibrateOptions{
+		Rounds: 4, Shots: 3000, Factory: decoder.UnionFindFactory(), Seed: 17,
+	})
 	if err != nil {
 		t.Fatalf("calibration failed: %v", err)
 	}

@@ -9,7 +9,7 @@
 //	λ(d) = A · (p / p_th)^((d+1)/2)
 //
 // whose constants are fitted from union-find memory simulations in the
-// measurable regime (Calibrate) or taken from the defaults recorded there.
+// measurable regime (CalibrateOpts) or taken from the defaults recorded there.
 //
 // Calibration is itself a sweep of independent (p, d) Monte-Carlo points
 // and runs on the same machinery as the experiment grids: CalibrateOpts
@@ -45,7 +45,7 @@ type LambdaModel struct {
 // DefaultLambda returns the extrapolation model used by the program-level
 // experiments. The constants are pinned by two anchors (see EXPERIMENTS.md):
 // they sit inside the uncertainty band of this repository's own union-find
-// calibration (Calibrate at p ∈ [3,6]×10⁻³ fits A ≈ 0.04–0.09,
+// calibration (CalibrateOpts at p ∈ [3,6]×10⁻³ fits A ≈ 0.04–0.09,
 // p_th ≈ 6.5–10×10⁻³; the power-law ansatz cannot pin p = 10⁻³ behaviour
 // from the measurable regime alone), and they reproduce the effective
 // per-cycle rates implied by the paper's own Table II retry risks
@@ -136,20 +136,11 @@ type calConfig struct {
 // (negative leading path element; see mc.DeriveSeed).
 const calSalt = int64(-14)
 
-// Calibrate runs memory experiments over the given physical rates and
-// distances and fits A and p_th by least squares in log space. Points whose
-// measured rate is zero (no failures) are skipped. It is the fixed-budget,
-// serial wrapper over CalibrateOpts.
-func Calibrate(ps []float64, ds []int, rounds, shots int, factory sim.DecoderFactory, seed int64) (*LambdaModel, []CalibrationPoint, error) {
-	return CalibrateOpts(ps, ds, CalibrateOptions{
-		Rounds: rounds, Shots: shots, Factory: factory, Seed: seed,
-	})
-}
-
 // CalibrateOpts measures every (p, d) calibration point on the adaptive
 // Monte-Carlo path — point-level pool, per-point derived seeds, optional
 // early stopping at TargetRSE, optional persistent store with resume — and
-// fits the Λ model from the results. Point results are bit-identical for
+// fits A and p_th by least squares in log space; points whose measured rate
+// is zero (no failures) are skipped. Point results are bit-identical for
 // any Workers/PointWorkers values and any resume order.
 func CalibrateOpts(ps []float64, ds []int, o CalibrateOptions) (*LambdaModel, []CalibrationPoint, error) {
 	if o.Factory == nil {

@@ -95,7 +95,8 @@ type trajTaskConfig struct {
 	// Layout axis (rev 3). All omitted for single-patch scans, so every
 	// pre-layout row keeps its identity; a 1-patch layout scan hashes
 	// differently from a single-patch scan because Patches is non-zero
-	// (their Results differ in the per-patch slice).
+	// (their Results differ in the per-patch slice, channel accounting and
+	// tile clipping — see traj.Config.Layout).
 	Patches int    `json:"patches,omitempty"`
 	Program string `json:"program,omitempty"`
 	Ops     int    `json:"ops,omitempty"`

@@ -1,30 +1,32 @@
 package traj
 
-// The layout-level trajectory engine: N patches on a routing grid, driven by
-// the same closed loop as the single-patch engine — per patch — plus two
-// layout-only mechanisms: defect events landing in the routing channels
-// block grid cells for their duration, and a program-derived lattice-surgery
-// schedule routes merge operations through the channels (route.Grid), which
-// replan around blockage or stall (surgery.MergeBlocked).
+// The trajectory engine body: N patches on a routing grid, each driven by
+// the closed loop of the package doc, plus two layout-only mechanisms:
+// defect events landing in the routing channels block grid cells for their
+// duration, and a program-derived lattice-surgery schedule routes merge
+// operations through the channels (route.Grid), which replan around
+// blockage or stall (surgery.MergeBlocked). A lone patch (Config.Layout
+// nil) is the 1-patch floorplan with neither mechanism: its events are not
+// clipped to the tile, so no site of them becomes a channel event.
 //
 // The epoch model generalizes patch-wise: every patch samples the same
 // chunk of rounds through its own DEM/sampler/decoder with its own shot
 // stream, the per-round detector feed interleaves all patches, and the
 // first fresh flag on ANY patch cuts the chunk for all of them — patches
 // stay cycle-synchronized, which is what lets the surgery schedule and the
-// channel bookkeeping sit at chunk boundaries. With one patch and no
-// program every layout-only mechanism is inert and the loop reduces to the
-// single-patch engine exactly (pinned by TestLayoutSinglePatchEquivalence).
+// channel bookkeeping sit at chunk boundaries.
 //
 // Determinism: the event timeline derives from one stream over the full
 // layout bounding box; patch p's shots derive from DeriveSeed(seed,
-// saltShots, p) — except patch 0, which keeps the single-patch stream so
-// the N=1 reduction is exact. Routing is RNG-free (see internal/route).
+// saltShots, p) — except patch 0, which keeps DeriveSeed(seed, saltShots),
+// the stream every stored lone-patch row was computed with. Routing is
+// RNG-free (see internal/route).
 
 import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"time"
 
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/core"
@@ -114,8 +116,7 @@ type chanEvent struct {
 	sites      []lattice.Coord
 }
 
-// patchState is the per-patch slice of the engine's runtime state — the
-// locals of the single-patch loop, one set per patch.
+// patchState is the per-patch slice of the engine's runtime state.
 type patchState struct {
 	spec        *deform.Spec // static arms only (sys == nil); live spec via sys otherwise
 	curCode     *code.Code
@@ -138,6 +139,18 @@ type patchState struct {
 	failed  bool
 	fresh   []int32
 	dem     *sim.DEM // the chunk's sample DEM (for attribution)
+}
+
+// adopt installs patch i's code after a structural change (boot
+// adaptation, deformation, bandage, recovery) and folds its distance into
+// the patch's and the trajectory's minimum.
+func (ps *patchState) adopt(res *Result, sys *core.System, i int, c *code.Code) {
+	ps.curCode = c
+	ps.blocked = sys.Blocked(i)
+	if d := minDist(c); d < res.Patches[i].MinDistance {
+		res.Patches[i].MinDistance = d
+	}
+	res.MinDistance = min(res.MinDistance, res.Patches[i].MinDistance)
 }
 
 // liveSpec returns the patch's current spec: the deformation unit's for
@@ -220,7 +233,8 @@ type surgerySchedule struct {
 	routeBuf    []int
 }
 
-// runLayout is the layout-level engine body (Config.Layout non-nil).
+// runLayout is the engine body behind Run, for a lone patch and for
+// layouts alike.
 func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 	tr, tj, arm := cfg.Trace, cfg.TraceTraj, mode.String()
 	cache := cfg.Cache
@@ -228,7 +242,11 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 		cache = sim.SharedDEMCache()
 	}
 	nominal := noise.Uniform(cfg.PhysicalRate)
-	n := cfg.Layout.Patches
+	lone := cfg.Layout == nil
+	n := 1
+	if !lone {
+		n = cfg.Layout.Patches
+	}
 
 	// Every arm shares the Surf-Deformer floorplan geometry (spacing d+Δd):
 	// patch origins, channel widths, and hence the sampled event timeline
@@ -263,8 +281,7 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 
 	// Static patch tiles (event classification is by the undeformed tile
 	// even while a patch is deformed) and the layout bounding box the event
-	// timeline is sampled over. For N=1 the box is exactly the patch bounds,
-	// so the event stream matches the single-patch engine byte for byte.
+	// timeline and the device are sampled over (for N=1, the patch bounds).
 	specs := make([]*deform.Spec, n)
 	patches := make([]*patchState, n)
 	umin, umax := lattice.Coord{}, lattice.Coord{}
@@ -285,7 +302,10 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 	eventRNG := rand.New(rand.NewSource(mc.DeriveSeed(seed, saltEvents)))
 	events := sampleEvents(cfg, umin, umax, eventRNG)
 	bounds := eventBoundaries(cfg, events)
-	perPatch, chans := splitEvents(lay, specs, events)
+	perPatch, chans := [][]*event{events}, []*chanEvent(nil)
+	if !lone {
+		perPatch, chans = splitEvents(lay, specs, events)
+	}
 	// One device covers the whole layout bounding box (channels included);
 	// each patch boots against its own tile's slice of it.
 	device := sampleDevice(cfg, umin, umax, seed)
@@ -336,15 +356,20 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 			return nil, err
 		}
 		ps.pristine = ps.curCode
+		res.Patches[i].MinDistance = minDist(ps.curCode)
 		// Boot adaptation against the patch's slice of the device (after
 		// `pristine` — the adapted code is seed-specific and must build
-		// through the private cache).
+		// through the private cache). A device so broken the patch cannot
+		// boot terminates the trajectory as failed from cycle 0.
 		if bc, nb, err := bootAdapt(sys, i, mit, device, specs[i].Contains); err != nil {
-			res.Patches[i].MinDistance = minDist(ps.curCode)
 			return terminateLayout(res, i, 0, err)
 		} else if bc != nil {
-			ps.curCode = bc
-			ps.blocked = sys.Blocked(i)
+			// A layout patch's minimum starts at its adapted code; a lone
+			// patch's also covers the pristine code it booted from.
+			if !lone {
+				res.Patches[i].MinDistance = minDist(bc)
+			}
+			ps.adopt(res, sys, i, bc)
 			res.Bandages += nb
 		}
 		ps.events = perPatch[i]
@@ -357,7 +382,6 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 			ps.shotRNG = rand.New(rand.NewSource(mc.DeriveSeed(seed, saltShots, int64(i))))
 		}
 		patches[i] = ps
-		res.Patches[i].MinDistance = minDist(ps.curCode)
 		for _, e := range ps.events {
 			res.Patches[i].Events++
 			if e.remove {
@@ -373,15 +397,20 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 	// lattice-surgery step (d cycles per operation); the chunk loop clamps
 	// chunks to attempt boundaries while operations remain.
 	var sched *surgerySchedule
-	grid := route.NewGrid(lay.Rows, lay.Cols)
-	if ops, err := cfg.Layout.scheduleOps(); err != nil {
-		return nil, err
-	} else if len(ops) > 0 {
-		sched = &surgerySchedule{
-			ops: ops, done: make([]bool, len(ops)), failedOnce: make([]bool, len(ops)),
-			stepCycles: int64(cfg.D), nextAttempt: int64(cfg.D),
+	var grid *route.Grid
+	if !lone {
+		ops, err := cfg.Layout.scheduleOps()
+		if err != nil {
+			return nil, err
 		}
-		res.OpsTotal = len(ops)
+		if len(ops) > 0 {
+			sched = &surgerySchedule{
+				ops: ops, done: make([]bool, len(ops)), failedOnce: make([]bool, len(ops)),
+				stepCycles: int64(cfg.D), nextAttempt: int64(cfg.D),
+			}
+			grid = route.NewGrid(lay.Rows, lay.Cols)
+			res.OpsTotal = len(ops)
+		}
 	}
 
 	hotCache := sim.NewDEMCache(hotCacheLimit)
@@ -403,7 +432,10 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 					expireAttributions(ps.events, ps.attributed, cycle)
 					continue
 				}
-				// Tier-gated recovery, as in the single-patch engine.
+				// The recovery path mirrors the arm's structural tier:
+				// removal arms reincorporate sites, the bandage arm releases
+				// its super-stabilizers, anything else just expires the
+				// bookkeeping.
 				var recovered int
 				var err error
 				switch {
@@ -424,14 +456,7 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 					if err != nil {
 						return terminateLayout(res, i, cycle, err)
 					}
-					ps.curCode = st
-					ps.blocked = sys.Blocked(i)
-					if d := minDist(ps.curCode); d < res.Patches[i].MinDistance {
-						res.Patches[i].MinDistance = d
-					}
-					if res.Patches[i].MinDistance < res.MinDistance {
-						res.MinDistance = res.Patches[i].MinDistance
-					}
+					ps.adopt(res, sys, i, st)
 					tr.Emit(obs.TraceEvent{Type: obs.TraceRecover, Cycle: cycle, Arm: arm, Traj: tj,
 						Patch: i, Sites: recovered, Distance: minDist(ps.curCode)})
 				}
@@ -478,11 +503,17 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 
 		// Sample phase: every patch's chunk shot through its own cached
 		// DEM/sampler/decoder path.
+		var sampleNs, decodeNs int64
+		failed := false
 		for i, ps := range patches {
-			if err := samplePatchChunk(cfg, mit, ps, res, i, cycle, chunk, nominal, deviceRates,
-				cache, hotCache, memo, patcher, reweightFactor, tr, arm, tj); err != nil {
+			sNs, dNs, err := samplePatchChunk(cfg, mit, ps, res, i, cycle, chunk, nominal, deviceRates,
+				cache, hotCache, memo, patcher, reweightFactor, tr, arm, tj)
+			if err != nil {
 				return nil, err
 			}
+			sampleNs += sNs
+			decodeNs += dNs
+			failed = failed || ps.failed
 			res.Epochs++
 		}
 
@@ -530,7 +561,8 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 				res.ChannelBlockedCycles += chunk
 			}
 			cycle += chunk
-			tr.Emit(obs.TraceEvent{Type: obs.TraceEpoch, Cycle: cycle, Arm: arm, Traj: tj, Cycles: chunk})
+			tr.Emit(obs.TraceEvent{Type: obs.TraceEpoch, Cycle: cycle, Arm: arm, Traj: tj,
+				Cycles: chunk, Failed: failed, DecodeNs: decodeNs, SampleNs: sampleNs})
 			continue
 		}
 
@@ -547,7 +579,8 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 			res.ChannelBlockedCycles += elapsed
 		}
 		cycle += elapsed
-		tr.Emit(obs.TraceEvent{Type: obs.TraceEpoch, Cycle: cycle, Arm: arm, Traj: tj, Cycles: elapsed})
+		tr.Emit(obs.TraceEvent{Type: obs.TraceEpoch, Cycle: cycle, Arm: arm, Traj: tj,
+			Cycles: elapsed, DecodeNs: decodeNs, SampleNs: sampleNs})
 
 		for i, ps := range patches {
 			if len(ps.fresh) == 0 {
@@ -578,20 +611,10 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 				if err != nil {
 					return terminateLayout(res, i, cycle, err)
 				}
-				deformed := len(st.Defects) > 0 || st.Enlarged
-				if deformed {
+				ps.adopt(res, sys, i, st.Code)
+				if len(st.Defects) > 0 || st.Enlarged {
 					res.Deformations++
 					res.Patches[i].Deformations++
-				}
-				ps.curCode = st.Code
-				ps.blocked = sys.Blocked(i)
-				if d := minDist(ps.curCode); d < res.Patches[i].MinDistance {
-					res.Patches[i].MinDistance = d
-				}
-				if res.Patches[i].MinDistance < res.MinDistance {
-					res.MinDistance = res.Patches[i].MinDistance
-				}
-				if deformed {
 					tr.Emit(obs.TraceEvent{Type: obs.TraceDeform, Cycle: cycle, Arm: arm, Traj: tj,
 						Patch: i, Defects: len(st.Defects), Enlarged: st.Enlarged, Distance: minDist(ps.curCode)})
 				}
@@ -605,14 +628,7 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 					tr.Emit(obs.TraceEvent{Type: obs.TraceDeform, Cycle: cycle, Arm: arm, Traj: tj,
 						Patch: i, Defects: n, Distance: minDist(st.Code)})
 				}
-				ps.curCode = st.Code
-				ps.blocked = sys.Blocked(i)
-				if d := minDist(ps.curCode); d < res.Patches[i].MinDistance {
-					res.Patches[i].MinDistance = d
-				}
-				if res.Patches[i].MinDistance < res.MinDistance {
-					res.MinDistance = res.Patches[i].MinDistance
-				}
+				ps.adopt(res, sys, i, st.Code)
 			}
 		}
 	}
@@ -621,12 +637,14 @@ func runLayout(cfg Config, mode Mode, seed int64) (*Result, error) {
 }
 
 // samplePatchChunk runs one patch's DEM → sampler → decoder chunk and
-// stages the results on the patch state — the sample half of the
-// single-patch loop body, per patch.
+// stages the results on the patch state. Under tracing it also returns the
+// wall-clock cost of the chunk's shot (sample, then decode); both are zero
+// otherwise and never enter the Result, since wall-clock is not
+// deterministic.
 func samplePatchChunk(cfg Config, mit deform.Mitigation, ps *patchState, res *Result, i int,
 	cycle, chunk int64, nominal *noise.Model, deviceRates map[lattice.Coord]float64,
 	cache, hotCache *sim.DEMCache, memo *demMemo,
-	patcher *sim.Patcher, reweightFactor float64, tr *obs.Tracer, arm string, tj int) error {
+	patcher *sim.Patcher, reweightFactor float64, tr *obs.Tracer, arm string, tj int) (sampleNs, decodeNs int64, err error) {
 	if ps.sitesOf != ps.curCode {
 		ps.codeSites = siteSet(ps.curCode)
 		ps.sitesOf = ps.curCode
@@ -638,7 +656,7 @@ func samplePatchChunk(cfg Config, mit deform.Mitigation, ps *patchState, res *Re
 	}
 	nominalDEM, nomKey, err := codeCache.BuildDEMKeyed(ps.curCode, nominal, int(chunk), cfg.Basis)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	patchBase := nominalDEM
 	if !patchDEMs {
@@ -649,7 +667,7 @@ func samplePatchChunk(cfg Config, mit deform.Mitigation, ps *patchState, res *Re
 		sampleDEM, sampleKey, err = hotCache.BuildDEMPatched(patcher, patchBase,
 			ps.curCode, nominal.WithSiteRates(ps.rates), int(chunk), cfg.Basis)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 	}
 	var overlay map[lattice.Coord]float64
@@ -664,7 +682,7 @@ func samplePatchChunk(cfg Config, mit deform.Mitigation, ps *patchState, res *Re
 		decodeDEM, decodeKey, err = hotCache.BuildDEMPatched(patcher, patchBase,
 			ps.curCode, nominal.OverlaySiteRates(overlay), int(chunk), cfg.Basis)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		if hotCache.Stats().Misses > preMiss {
 			res.OverlayDEMBuilds++
@@ -688,14 +706,25 @@ func samplePatchChunk(cfg Config, mit deform.Mitigation, ps *patchState, res *Re
 	ps.overlay = overlay
 	dec := memo.decoder(decodeKey, decodeDEM, nominalDEM)
 	sampler := memo.sampler(sampleKey, sampleDEM)
-	flagged, obsFlip := sampler.Shot(ps.shotRNG)
-	ps.failed = dec.DecodeToObs(flagged) != obsFlip
+	var flagged []int32
+	var obsFlip bool
+	if tr != nil {
+		t0 := time.Now()
+		flagged, obsFlip = sampler.Shot(ps.shotRNG)
+		t1 := time.Now()
+		ps.failed = dec.DecodeToObs(flagged) != obsFlip
+		sampleNs, decodeNs = t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds()
+	} else {
+		flagged, obsFlip = sampler.Shot(ps.shotRNG)
+		ps.failed = dec.DecodeToObs(flagged) != obsFlip
+	}
 	ps.byRound = roundStream(sampleDEM, flagged, chunk, &ps.scratch)
 	ps.dem = sampleDEM
-	return nil
+	return sampleNs, decodeNs, nil
 }
 
-// advanceLayout accrues the per-cycle aggregates for one patch.
+// advanceLayout accrues the per-cycle aggregates of patch i over an elapsed
+// stretch.
 func advanceLayout(res *Result, i int, cycles int64, blocked bool, c *code.Code) {
 	if blocked {
 		res.BlockedCycles += cycles
@@ -837,8 +866,13 @@ func mergeBlockedOp(sys *core.System, patches []*patchState, chans []*chanEvent,
 	return blocked
 }
 
-// terminateLayout ends a layout trajectory whose patch i severed — the
-// layout counterpart of terminate.
+// terminateLayout ends a trajectory whose patch i severed: the remaining
+// horizon is unprotected, so the trajectory counts as failed from the
+// severing cycle onward. The error is consumed — a severed patch is a
+// measured outcome of the arm (ASC-S severs more), not a simulation fault.
+// Like MemorySweep's severed rows, this conservatively classifies *any*
+// removal/enlargement/rebuild error as severing; deform exposes no
+// sentinel distinguishing a disconnected patch from other failures.
 func terminateLayout(res *Result, i int, cycle int64, _ error) (*Result, error) {
 	res.Patches[i].Severed = true
 	res.Patches[i].Failures++
