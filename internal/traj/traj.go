@@ -315,9 +315,10 @@ type Result struct {
 	// Layout-level fields, populated only when Config.Layout is non-nil
 	// (a lone patch has no channels or surgery). Patches carries the
 	// per-patch slices of the aggregate counters above; the remaining fields
-	// are the router and lattice-surgery aggregates. In layout mode the cycle-weighted
-	// aggregates (ScoredCycles, BlockedCycles, DistanceCycles) are summed
-	// over patches, i.e. measured in patch-cycles.
+	// are the router and lattice-surgery aggregates. In layout mode the
+	// cycle-weighted aggregates (ScoredCycles, BlockedCycles,
+	// DistanceCycles) are summed over patches, i.e. measured in
+	// patch-cycles.
 	Patches []PatchResult `json:"patches,omitempty"`
 	// ChannelEvents counts defect events with sites in the routing channels
 	// (outside every patch tile); ChannelBlockedCycles the cycles during
