@@ -471,7 +471,7 @@ func BenchmarkMCEngine(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			var failures int
 			for i := 0; i < b.N; i++ {
-				res, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
+				res, _, err := sim.RunMemory(c, model, nil, sim.RunOptions{
 					Rounds:  6,
 					Basis:   lattice.ZCheck,
 					Factory: decoder.UnionFindFactory(),
@@ -501,7 +501,7 @@ func BenchmarkMCEngineAdaptive(b *testing.B) {
 	model := noise.Uniform(5e-3)
 	var spent float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
+		res, _, err := sim.RunMemory(c, model, nil, sim.RunOptions{
 			Rounds:    4,
 			Basis:     lattice.ZCheck,
 			Factory:   decoder.UnionFindFactory(),

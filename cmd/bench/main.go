@@ -351,11 +351,11 @@ func measureEngine(d int, p float64, rounds, shots int) (EnginePoint, error) {
 	// not one-time model construction.
 	warm := opts
 	warm.Shots = 64
-	if _, err := sim.RunMemoryOpts(c, model, nil, warm); err != nil {
+	if _, _, err := sim.RunMemory(c, model, nil, warm); err != nil {
 		return EnginePoint{}, err
 	}
 	start := time.Now()
-	res, err := sim.RunMemoryOpts(c, model, nil, opts)
+	res, _, err := sim.RunMemory(c, model, nil, opts)
 	if err != nil {
 		return EnginePoint{}, err
 	}

@@ -149,7 +149,7 @@ func run() (err error) {
 		defer prog.PointDone()
 		pt := grid[i]
 		c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, pt.d))
-		z, x, combined, stored, rerr := sim.RunMemoryBothStored(c, noise.Uniform(pt.p), sim.RunOptions{
+		z, x, combined, stored, rerr := sim.RunMemoryBoth(c, noise.Uniform(pt.p), nil, sim.RunOptions{
 			Rounds:    *rounds,
 			Factory:   factory,
 			Shots:     budget,
@@ -157,12 +157,13 @@ func run() (err error) {
 			TargetRSE: *targetRSE,
 			Seed:      mc.DeriveSeed(*seed, pointSalt, int64(pt.d), rateStream(pt.p)),
 			Ctx:       ctx,
-		}, sim.StoreOptions{
-			Store:  st,
-			Resume: *resume,
-			Kind:   "memsweep",
-			Config: memsweepConfig{D: pt.d, P: pt.p, Rounds: *rounds,
-				Decoder: *dec, Seed: *seed, TargetRSE: *targetRSE},
+			Store: sim.StoreOptions{
+				Store:  st,
+				Resume: *resume,
+				Kind:   "memsweep",
+				Config: memsweepConfig{D: pt.d, P: pt.p, Rounds: *rounds,
+					Decoder: *dec, Seed: *seed, TargetRSE: *targetRSE},
+			},
 		})
 		if rerr != nil {
 			return rerr

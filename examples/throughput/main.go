@@ -108,7 +108,7 @@ func decodeThroughput() {
 	}
 	for _, workers := range counts {
 		start := time.Now()
-		res, err := sim.RunMemoryOpts(c, noise.Uniform(p), nil, sim.RunOptions{
+		res, _, err := sim.RunMemory(c, noise.Uniform(p), nil, sim.RunOptions{
 			Rounds:  rounds,
 			Basis:   lattice.ZCheck,
 			Factory: decoder.UnionFindFactory(),

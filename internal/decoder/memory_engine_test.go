@@ -1,7 +1,7 @@
 package decoder
 
 // Integration tests of the Monte-Carlo engine path (internal/mc via
-// sim.RunMemoryOpts) against the real union-find decoder. They live here
+// sim.RunMemory) against the real union-find decoder. They live here
 // rather than in package sim because sim cannot import its own decoders.
 
 import (
@@ -29,7 +29,7 @@ func TestRunMemoryDeterministicAcrossWorkers(t *testing.T) {
 	model := noise.Uniform(4e-3)
 	var refFailures, refShots int
 	for i, workers := range []int{1, 4, 8} {
-		res, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
+		res, _, err := sim.RunMemory(c, model, nil, sim.RunOptions{
 			Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(),
 			Shots: 6000, Workers: workers, Seed: 21,
 		})
@@ -50,40 +50,19 @@ func TestRunMemoryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The legacy wrappers must be exactly the engine path.
-func TestRunMemoryWrapperMatchesOpts(t *testing.T) {
-	c := engineTestCode(t, 3)
-	model := noise.Uniform(5e-3)
-	wrapped, err := sim.RunMemory(c, model, 4, 3000, lattice.ZCheck, UnionFindFactory(), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
-		Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(),
-		Shots: 3000, Seed: 17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.Failures != direct.Failures || wrapped.Shots != direct.Shots {
-		t.Errorf("RunMemory (failures=%d shots=%d) != RunMemoryOpts (%d %d)",
-			wrapped.Failures, wrapped.Shots, direct.Failures, direct.Shots)
-	}
-}
-
 // Early stopping must agree with the fixed-budget estimate within its
 // confidence interval, while spending far fewer shots than the cap.
 func TestRunMemoryEarlyStopWithinCI(t *testing.T) {
 	c := engineTestCode(t, 3)
 	model := noise.Uniform(6e-3)
-	full, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
+	full, _, err := sim.RunMemory(c, model, nil, sim.RunOptions{
 		Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(),
 		Shots: 40_000, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
+	early, _, err := sim.RunMemory(c, model, nil, sim.RunOptions{
 		Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(),
 		Shots: 400_000, TargetRSE: 0.08, Seed: 5,
 	})
@@ -109,7 +88,7 @@ func TestRunMemoryMismatchedDeterministic(t *testing.T) {
 	hot := nominal.WithDefects([]lattice.Coord{{Row: 5, Col: 5}}, noise.DefaultDefectRate)
 	var ref int
 	for i, workers := range []int{1, 4, 8} {
-		res, err := sim.RunMemoryOpts(c, hot, nominal, sim.RunOptions{
+		res, _, err := sim.RunMemory(c, hot, nominal, sim.RunOptions{
 			Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(),
 			Shots: 4000, Workers: workers, Seed: 13,
 		})

@@ -170,7 +170,7 @@ func CalibrateOpts(ps []float64, ds []int, o CalibrateOptions) (*LambdaModel, []
 		pt := grid[i]
 		c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, pt.d))
 		seed := mc.DeriveSeed(o.Seed, calSalt, int64(math.Round(pt.p*1e9)), int64(pt.d))
-		_, _, combined, fromStore, err := sim.RunMemoryBothStored(c, noise.Uniform(pt.p), sim.RunOptions{
+		_, _, combined, fromStore, err := sim.RunMemoryBoth(c, noise.Uniform(pt.p), nil, sim.RunOptions{
 			Rounds:    o.Rounds,
 			Factory:   o.Factory,
 			Shots:     o.Shots,
@@ -178,12 +178,13 @@ func CalibrateOpts(ps []float64, ds []int, o CalibrateOptions) (*LambdaModel, []
 			TargetRSE: o.TargetRSE,
 			Seed:      seed,
 			Ctx:       o.Ctx,
-		}, sim.StoreOptions{
-			Store:  o.Store,
-			Resume: o.Resume,
-			Kind:   "calibrate",
-			Config: calConfig{P: pt.p, D: pt.d, Rounds: o.Rounds,
-				Decoder: o.Decoder, Seed: o.Seed, TargetRSE: o.TargetRSE},
+			Store: sim.StoreOptions{
+				Store:  o.Store,
+				Resume: o.Resume,
+				Kind:   "calibrate",
+				Config: calConfig{P: pt.p, D: pt.d, Rounds: o.Rounds,
+					Decoder: o.Decoder, Seed: o.Seed, TargetRSE: o.TargetRSE},
+			},
 		})
 		if err != nil {
 			return err

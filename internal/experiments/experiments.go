@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 
+	"surfdeformer/internal/code"
 	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
@@ -100,6 +101,21 @@ func Defaults() Options {
 // QuickOptions returns test-scale options.
 func QuickOptions() Options {
 	return Options{Shots: 1500, Trials: 20, Rounds: 4, Seed: 1, Quick: true}
+}
+
+// memoryRate is the figure grids' memory experiment: a storeless memory-Z
+// run of o.Shots shots over o.Rounds rounds on the union-find decoder,
+// sampling from sample and decoding with decode (nil: matched), canceled
+// by o.Ctx. It returns the per-round logical error rate.
+func (o Options) memoryRate(c *code.Code, sample, decode *noise.Model, seed int64) (float64, error) {
+	res, _, err := sim.RunMemory(c, sample, decode, sim.RunOptions{
+		Rounds: o.Rounds, Basis: lattice.ZCheck, Factory: decoder.UnionFindFactory(),
+		Shots: o.Shots, Seed: seed, Ctx: o.Ctx,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return res.PerRound, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -212,13 +228,12 @@ func fig11aPoint(opt Options, d, k, samples int) (Fig11aRow, error) {
 		if err != nil {
 			return Fig11aRow{}, err
 		}
-		resU, err := sim.RunMemoryMismatched(untreated, defModel, nominal,
-			opt.Rounds, opt.Shots, lattice.ZCheck, decoder.UnionFindFactory(),
+		untreatedLE, err := opt.memoryRate(untreated, defModel, nominal,
 			opt.pointSeed(kindFig11a, int64(d), int64(k), int64(s), 0))
 		if err != nil {
 			return Fig11aRow{}, err
 		}
-		uSum += resU.PerRound
+		uSum += untreatedLE
 		uN++
 
 		// Removed: Algorithm 1, nominal noise on surviving qubits.
@@ -230,13 +245,12 @@ func fig11aPoint(opt Options, d, k, samples int) (Fig11aRow, error) {
 		if err != nil {
 			continue // severed pattern
 		}
-		resR, err := sim.RunMemory(removedCode, nominal, opt.Rounds, opt.Shots,
-			lattice.ZCheck, decoder.UnionFindFactory(),
+		removedLE, err := opt.memoryRate(removedCode, nominal, nil,
 			opt.pointSeed(kindFig11a, int64(d), int64(k), int64(s), 1))
 		if err != nil {
 			return Fig11aRow{}, err
 		}
-		rSum += resR.PerRound
+		rSum += removedLE
 		rN++
 	}
 	row := Fig11aRow{D: d, NumDefects: k}

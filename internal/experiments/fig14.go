@@ -5,13 +5,11 @@ import (
 	"io"
 	"math"
 
-	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/detect"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
-	"surfdeformer/internal/sim"
 )
 
 // ---------------------------------------------------------------------------
@@ -91,8 +89,7 @@ func fig14aPoint(opt Options, d int, pc float64, k int) (Fig14aRow, error) {
 	if err != nil {
 		return Fig14aRow{}, err
 	}
-	resU, err := sim.RunMemoryMismatched(untreated, defModel, nominal,
-		opt.Rounds, opt.Shots, lattice.ZCheck, decoder.UnionFindFactory(),
+	untreatedLE, err := opt.memoryRate(untreated, defModel, nominal,
 		opt.pointSeed(kindFig14a, pcPart, int64(k), 0))
 	if err != nil {
 		return Fig14aRow{}, err
@@ -104,16 +101,14 @@ func fig14aPoint(opt Options, d int, pc float64, k int) (Fig14aRow, error) {
 	}
 	removedLE := 0.5
 	if removedCode, err := spec.Build(); err == nil {
-		resR, err := sim.RunMemory(removedCode, nominal, opt.Rounds, opt.Shots,
-			lattice.ZCheck, decoder.UnionFindFactory(),
+		removedLE, err = opt.memoryRate(removedCode, nominal, nil,
 			opt.pointSeed(kindFig14a, pcPart, int64(k), 1))
 		if err != nil {
 			return Fig14aRow{}, err
 		}
-		removedLE = resR.PerRound
 	}
 	return Fig14aRow{PCorrelated: pc, NumDefects: k,
-		UntreatedLE: resU.PerRound, RemovedLE: removedLE}, nil
+		UntreatedLE: untreatedLE, RemovedLE: removedLE}, nil
 }
 
 // RenderFig14a prints the series.
@@ -174,15 +169,17 @@ func Fig14b(opt Options) ([]Fig14bRow, error) {
 			if err != nil {
 				return Fig14bRow{}, err
 			}
-			resU, err := sim.RunMemoryMismatched(untreated, defModel, nominal,
-				opt.Rounds, opt.Shots, lattice.ZCheck, decoder.UnionFindFactory(),
+			untreatedLE, err := opt.memoryRate(untreated, defModel, nominal,
 				opt.pointSeed(kindFig14b, int64(k), 0))
 			if err != nil {
 				return Fig14bRow{}, err
 			}
 
 			// Precise removal.
-			preciseLE := removalRate(truth, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 1))
+			preciseLE, err := removalRate(truth, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 1))
+			if err != nil {
+				return Fig14bRow{}, err
+			}
 
 			// Imprecise removal: distort the report.
 			var healthy []lattice.Coord
@@ -199,9 +196,12 @@ func Fig14b(opt Options) ([]Fig14bRow, error) {
 				}
 			}
 			report := detect.Oracle(truth, healthy, fp, fn, rng)
-			impreciseLE := removalRate(report, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 2))
+			impreciseLE, err := removalRate(report, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 2))
+			if err != nil {
+				return Fig14bRow{}, err
+			}
 
-			return Fig14bRow{NumDefects: k, UntreatedLE: resU.PerRound,
+			return Fig14bRow{NumDefects: k, UntreatedLE: untreatedLE,
 				PreciseLE: preciseLE, ImpreciseLE: impreciseLE}, nil
 		})
 		if err != nil {
@@ -218,15 +218,17 @@ func Fig14b(opt Options) ([]Fig14bRow, error) {
 
 // removalRate deforms the patch per the reported defects and measures the
 // per-cycle logical error rate under the TRUE defect model: reported qubits
-// leave the code, missed qubits remain hot with the decoder unaware.
-func removalRate(report, truth []lattice.Coord, d int, nominal *noise.Model, opt Options, seed int64) float64 {
+// leave the code, missed qubits remain hot with the decoder unaware. A
+// report the deformation cannot remove (the patch is severed) scores the
+// random limit 0.5; an engine error, cancellation included, is returned.
+func removalRate(report, truth []lattice.Coord, d int, nominal *noise.Model, opt Options, seed int64) (float64, error) {
 	spec := deform.NewSquareSpec(lattice.Coord{Row: 0, Col: 0}, d)
 	if err := deform.ApplyDefects(spec, report, deform.PolicySurfDeformer); err != nil {
-		return 0.5
+		return 0.5, nil
 	}
 	c, err := spec.Build()
 	if err != nil {
-		return 0.5
+		return 0.5, nil
 	}
 	// Missed defects (in truth, still in the code) stay defective.
 	var remaining []lattice.Coord
@@ -239,12 +241,7 @@ func removalRate(report, truth []lattice.Coord, d int, nominal *noise.Model, opt
 	if len(remaining) > 0 {
 		sampleModel = nominal.WithDefects(remaining, noise.DefaultDefectRate)
 	}
-	res, err := sim.RunMemoryMismatched(c, sampleModel, nominal, opt.Rounds, opt.Shots,
-		lattice.ZCheck, decoder.UnionFindFactory(), seed)
-	if err != nil {
-		return 0.5
-	}
-	return res.PerRound
+	return opt.memoryRate(c, sampleModel, nominal, seed)
 }
 
 // RenderFig14b prints the series.

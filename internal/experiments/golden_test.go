@@ -109,47 +109,68 @@ func TestTrajGoldenFingerprints(t *testing.T) {
 		return
 	}
 	if *updateTrajGolden {
-		b, err := json.MarshalIndent(trajGolden{Rev: trajEngineRev, Results: got}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(trajGoldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d fingerprints at rev %d to %s", len(got), trajEngineRev, trajGoldenPath)
+		writeGolden(t, trajGoldenPath, trajGolden{Rev: trajEngineRev, Results: got})
 		return
 	}
-	b, err := os.ReadFile(trajGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update-traj-golden)", err)
-	}
 	var want trajGolden
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", trajGoldenPath, err)
-	}
+	readGolden(t, trajGoldenPath, "-update-traj-golden", &want)
 	if want.Rev != trajEngineRev {
 		t.Errorf("%s was generated at engine rev %d, trajEngineRev is %d: regenerate it with -update-traj-golden",
 			trajGoldenPath, want.Rev, trajEngineRev)
 	}
+	if moved := diffFingerprints(t, want.Results, got); moved > 0 {
+		t.Errorf("%d trajectory fingerprints moved: engine output changed; bump trajEngineRev and regenerate with -update-traj-golden",
+			moved)
+	}
+}
+
+// writeGolden rewrites a fingerprint file from v.
+func writeGolden(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", path)
+}
+
+// readGolden decodes a fingerprint file into v; flag names the test flag
+// that regenerates it.
+func readGolden(t *testing.T, path, flag string, v any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with %s)", err, flag)
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// diffFingerprints reports every key whose hash differs between the golden
+// and the current run (a key missing on either side included) and returns
+// how many moved.
+func diffFingerprints(t *testing.T, want, got map[string]string) int {
+	t.Helper()
 	var keys []string
-	for k := range want.Results {
+	for k := range want {
 		keys = append(keys, k)
 	}
 	for k := range got {
-		if _, ok := want.Results[k]; !ok {
+		if _, ok := want[k]; !ok {
 			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
 	moved := 0
 	for _, k := range keys {
-		if got[k] != want.Results[k] {
+		if got[k] != want[k] {
 			moved++
-			t.Errorf("%s: Result fingerprint moved (golden %.12s, now %.12s)", k, want.Results[k], got[k])
+			t.Errorf("%s: fingerprint moved (golden %.12s, now %.12s)", k, want[k], got[k])
 		}
 	}
-	if moved > 0 {
-		t.Errorf("%d of %d trajectory fingerprints moved: engine output changed; bump trajEngineRev and regenerate with -update-traj-golden",
-			moved, len(keys))
-	}
+	return moved
 }

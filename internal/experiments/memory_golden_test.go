@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"surfdeformer"
@@ -126,37 +125,10 @@ func memoryFingerprints(t *testing.T) map[string]string {
 func TestMemoryGoldenFingerprints(t *testing.T) {
 	got := memoryFingerprints(t)
 	if *updateMemoryGolden {
-		b, err := json.MarshalIndent(memoryGolden{Results: got}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(memoryGoldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d fingerprints to %s", len(got), memoryGoldenPath)
+		writeGolden(t, memoryGoldenPath, memoryGolden{Results: got})
 		return
 	}
-	b, err := os.ReadFile(memoryGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update-memory-golden)", err)
-	}
 	var want memoryGolden
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", memoryGoldenPath, err)
-	}
-	var keys []string
-	for k := range want.Results {
-		keys = append(keys, k)
-	}
-	for k := range got {
-		if _, ok := want.Results[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if got[k] != want.Results[k] {
-			t.Errorf("%s: fingerprint moved (golden %.12s, now %.12s)", k, want.Results[k], got[k])
-		}
-	}
+	readGolden(t, memoryGoldenPath, "-update-memory-golden", &want)
+	diffFingerprints(t, want.Results, got)
 }

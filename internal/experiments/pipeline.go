@@ -314,7 +314,7 @@ func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, e
 			return nil
 		}
 		row.DistanceAfter = c.Distance()
-		res, fromStore, err := sim.RunMemoryStored(c, nominal, nil, sim.RunOptions{
+		res, fromStore, err := sim.RunMemory(c, nominal, nil, sim.RunOptions{
 			Rounds:    opt.Rounds,
 			Basis:     lattice.ZCheck,
 			Factory:   decoder.UnionFindFactory(),
@@ -323,13 +323,14 @@ func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, e
 			TargetRSE: eng.TargetRSE,
 			Seed:      opt.pointSeed(kindSweep, append(pt.seedParts(), 1)...),
 			Ctx:       opt.Ctx,
-		}, sim.StoreOptions{
-			Store:  opt.Store,
-			Resume: opt.Resume,
-			Kind:   "sweep",
-			Config: sweepConfig{
-				D: pt.D, K: pt.NumDefects, Policy: pt.Policy.String(),
-				Rounds: opt.Rounds, Decoder: "uf", Seed: opt.Seed, TargetRSE: eng.TargetRSE,
+			Store: sim.StoreOptions{
+				Store:  opt.Store,
+				Resume: opt.Resume,
+				Kind:   "sweep",
+				Config: sweepConfig{
+					D: pt.D, K: pt.NumDefects, Policy: pt.Policy.String(),
+					Rounds: opt.Rounds, Decoder: "uf", Seed: opt.Seed, TargetRSE: eng.TargetRSE,
+				},
 			},
 		})
 		if err != nil {

@@ -115,7 +115,7 @@ func cachedRow[P any](opt Options, kind string, cfg any, compute func() (P, erro
 		}
 		return out, err
 	}
-	key, err := store.Key(kind, cfg)
+	key, canon, err := store.Key(kind, cfg)
 	if err != nil {
 		return zero, err
 	}
@@ -134,14 +134,6 @@ func cachedRow[P any](opt Options, kind string, cfg any, compute func() (P, erro
 		return zero, err
 	}
 	payload, err := json.Marshal(out)
-	if err != nil {
-		return zero, err
-	}
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		return zero, err
-	}
-	canon, err := store.Canonicalize(cfgJSON)
 	if err != nil {
 		return zero, err
 	}

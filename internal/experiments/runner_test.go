@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"surfdeformer/internal/mc"
+	"surfdeformer/internal/noise"
 	"surfdeformer/internal/store"
 )
 
@@ -190,5 +194,51 @@ func TestResumeTrialStyleRows(t *testing.T) {
 	RenderFig11c(&b, rows)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("resumed fig11c table not byte-identical")
+	}
+}
+
+// A canceled Ctx must reach every memory run of a figure point: each point
+// returns an error wrapping mc.ErrCanceled and commits nothing, instead of
+// a full row (or, through removalRate, a severed-patch score of 0.5). The
+// points are called directly because forEachPoint stops before running
+// any point once its context is canceled.
+func TestFigurePointsHonorCanceledCtx(t *testing.T) {
+	st := testStore(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := QuickOptions()
+	opt.Ctx = ctx
+	opt.Store = st
+	nominal := noise.Uniform(noise.DefaultPhysical)
+	points := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig11a", func() error {
+			_, err := cachedRow(opt, "fig11a", fig11aConfig{D: 5, K: 1, Samples: 1}, func() (Fig11aRow, error) {
+				return fig11aPoint(opt, 5, 1, 1)
+			})
+			return err
+		}},
+		{"fig14a", func() error {
+			_, err := cachedRow(opt, "fig14a", fig14aConfig{PCorrelated: 1e-3, K: 2, D: 5}, func() (Fig14aRow, error) {
+				return fig14aPoint(opt, 5, 1e-3, 2)
+			})
+			return err
+		}},
+		{"fig14b removalRate", func() error {
+			_, err := cachedRow(opt, "fig14b", fig14bConfig{K: 0, D: 5}, func() (float64, error) {
+				return removalRate(nil, nil, 5, nominal, opt, 1)
+			})
+			return err
+		}},
+	}
+	for _, p := range points {
+		if err := p.run(); !errors.Is(err, mc.ErrCanceled) {
+			t.Errorf("%s: err = %v, want one wrapping mc.ErrCanceled", p.name, err)
+		}
+	}
+	if n := st.Len(); n != 0 {
+		t.Errorf("store holds %d point(s) after canceled runs, want 0", n)
 	}
 }

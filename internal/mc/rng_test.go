@@ -32,7 +32,7 @@ func TestShardSeedStableAndDistinct(t *testing.T) {
 	}
 }
 
-// Adjacent user seeds are the sim.RunMemoryBothOpts convention (seed, seed+1); the
+// Adjacent user seeds are the sim.RunMemoryBoth convention (seed, seed+1); the
 // families they spawn must not overlap.
 func TestShardSeedAdjacentUserSeeds(t *testing.T) {
 	a := map[int64]bool{}

@@ -62,7 +62,7 @@ func TestShotScratchReuse(t *testing.T) {
 }
 
 // truncDecoder fakes a decoder that reports every shot as truncated,
-// exercising the TruncationCounter aggregation path of RunMemoryOpts.
+// exercising the TruncationCounter aggregation path of RunMemory.
 type truncDecoder struct{ n int }
 
 func (d *truncDecoder) DecodeToObs([]int32) bool { d.n++; return false }
@@ -75,7 +75,7 @@ func TestTruncationsSurfaceInMemoryResult(t *testing.T) {
 	c := freshCode(t, 3)
 	model := noise.Uniform(2e-3)
 	const shots = 3000
-	res, err := RunMemoryOpts(c, model, nil, RunOptions{
+	res, _, err := RunMemory(c, model, nil, RunOptions{
 		Rounds: 3, Basis: lattice.ZCheck, Shots: shots, Workers: 2, Seed: 1,
 		Factory: func(*DEM) (Decoder, error) { return &truncDecoder{}, nil },
 	})
@@ -86,7 +86,7 @@ func TestTruncationsSurfaceInMemoryResult(t *testing.T) {
 		t.Errorf("Truncations = %d, want %d (every shot truncates)", res.Truncations, shots)
 	}
 	// A decoder without the optional interface reports zero.
-	plain, err := RunMemoryOpts(c, model, nil, RunOptions{
+	plain, _, err := RunMemory(c, model, nil, RunOptions{
 		Rounds: 3, Basis: lattice.ZCheck, Shots: shots, Workers: 2, Seed: 1,
 		Factory: func(*DEM) (Decoder, error) {
 			d := &truncDecoder{}

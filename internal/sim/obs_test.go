@@ -24,7 +24,7 @@ func TestRunMemoryObservationInvariant(t *testing.T) {
 		Rounds: 3, Basis: lattice.ZCheck, Shots: 4000, Workers: 4, Seed: 21,
 		Factory: decoder.UnionFindFactory(),
 	}
-	baseline, err := sim.RunMemoryOpts(c, model, nil, opts)
+	baseline, _, err := sim.RunMemory(c, model, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRunMemoryObservationInvariant(t *testing.T) {
 			}
 		}
 	}()
-	observed, err := sim.RunMemoryOpts(c, model, nil, opts)
+	observed, _, err := sim.RunMemory(c, model, nil, opts)
 	close(stop)
 	<-done
 	if err != nil {

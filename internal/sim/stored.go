@@ -11,12 +11,13 @@ import (
 	"surfdeformer/internal/store"
 )
 
-// StoreOptions wires a memory experiment into the persistent result store.
-// Kind and Config form the point's content address (store.Key): Config must
-// describe the generator of the point — everything that fixes its RNG
-// stream family and physics (sizes, rates, policy/decoder names, rounds,
-// seed, adaptive target) — and must NOT include the shot budget, which is
-// the one accumulating dimension (see DESIGN.md §7).
+// StoreOptions wires a memory experiment into the persistent result store
+// (RunOptions.Store); the zero value runs without one. Kind and Config
+// form the point's content address (store.Key): Config must describe the
+// generator of the point — everything that fixes its RNG stream family and
+// physics (sizes, rates, policy/decoder names, rounds, seed, adaptive
+// target) — and must NOT include the shot budget, which is the one
+// accumulating dimension (see DESIGN.md §7).
 type StoreOptions struct {
 	Store  *store.Store
 	Resume bool
@@ -52,7 +53,15 @@ type memoryPayload struct {
 	Rounds       int  `json:"rounds"`
 }
 
-// RunMemoryStored is RunMemoryOpts behind the persistent store: a point
+// RunMemory performs a memory experiment on the concurrent engine: shots
+// are drawn from sampleModel while the decoder is built from decodeModel.
+// Passing decodeModel == nil decodes with the sampling model (the matched,
+// defect-aware case); distinct models form the honest model of an
+// untreated dynamic defect — the hardware error rates spike but the
+// decoder keeps its calibrated nominal priors. Both models share the same
+// circuit, so the detector layout is identical.
+//
+// With o.Store set the run sits behind the persistent store: a point
 // already complete in the store is served without touching the sampler or
 // decoder, a partially-stored point computes only the missing shots under a
 // fresh segment stream and merges (Wilson CI recomputed from the merged
@@ -63,12 +72,13 @@ type memoryPayload struct {
 // the merged shots reach it; an adaptive request (TargetRSE > 0) is
 // complete once a stored run early-stopped at the target, the merged
 // counts already meet the target, or the cap is exhausted.
-func RunMemoryStored(c *code.Code, sampleModel, decodeModel *noise.Model, o RunOptions, so StoreOptions) (res *MemoryResult, fromStore bool, err error) {
+func RunMemory(c *code.Code, sampleModel, decodeModel *noise.Model, o RunOptions) (res *MemoryResult, fromStore bool, err error) {
+	so := o.Store
 	if so.Store == nil {
-		res, err = RunMemoryOpts(c, sampleModel, decodeModel, o)
+		res, err = runMemory(c, sampleModel, decodeModel, o)
 		return res, false, err
 	}
-	key, err := store.Key(so.Kind, so.Config)
+	key, canon, err := store.Key(so.Kind, so.Config)
 	if err != nil {
 		return nil, false, err
 	}
@@ -100,12 +110,12 @@ func RunMemoryStored(c *code.Code, sampleModel, decodeModel *noise.Model, o RunO
 	// Fresh point (or Resume off): one run at the full request on the
 	// base-seed stream, exactly what a storeless run would do.
 	if !so.Resume || !found || pt.Shots == 0 {
-		run, err := RunMemoryOpts(c, sampleModel, decodeModel, o)
+		run, err := runMemory(c, sampleModel, decodeModel, o)
 		if err != nil {
 			return nil, false, err
 		}
 		pay := payloadOf(run, o.Rounds)
-		if err := appendSegment(so, key, 0, run.Shots, run.Failures,
+		if err := appendSegment(so, key, canon, 0, run.Shots, run.Failures,
 			complete(run.Shots, run.Failures, run.EarlyStopped), pay); err != nil {
 			return nil, false, err
 		}
@@ -149,14 +159,14 @@ func RunMemoryStored(c *code.Code, sampleModel, decodeModel *noise.Model, o RunO
 			}
 		}
 		segOpts.Shots = chunk
-		run, err := RunMemoryOpts(c, sampleModel, decodeModel, segOpts)
+		run, err := runMemory(c, sampleModel, decodeModel, segOpts)
 		if err != nil {
 			return nil, false, err
 		}
 		mergedShots += run.Shots
 		mergedFailures += run.Failures
 		lastPay = payloadOf(run, o.Rounds)
-		if err := appendSegment(so, key, seg, run.Shots, run.Failures,
+		if err := appendSegment(so, key, canon, seg, run.Shots, run.Failures,
 			complete(mergedShots, mergedFailures, run.EarlyStopped), lastPay); err != nil {
 			return nil, false, err
 		}
@@ -180,15 +190,7 @@ func payloadOf(run *MemoryResult, rounds int) memoryPayload {
 	}
 }
 
-func appendSegment(so StoreOptions, key string, seq, shots, failures int, complete bool, pay memoryPayload) error {
-	cfg, err := json.Marshal(so.Config)
-	if err != nil {
-		return err
-	}
-	canon, err := store.Canonicalize(cfg)
-	if err != nil {
-		return err
-	}
+func appendSegment(so StoreOptions, key string, canon []byte, seq, shots, failures int, complete bool, pay memoryPayload) error {
 	pb, err := json.Marshal(pay)
 	if err != nil {
 		return err
@@ -223,32 +225,32 @@ func replayMemory(pt store.Point, pay memoryPayload) *MemoryResult {
 }
 
 // basisConfig nests the caller's point config under an explicit basis tag:
-// RunMemoryBothStored stores its Z and X halves as two points so per-basis
+// RunMemoryBoth stores its Z and X halves as two points so per-basis
 // counts stay mergeable across sessions.
 type basisConfig struct {
 	Basis  string `json:"basis"`
 	Config any    `json:"config"`
 }
 
-// RunMemoryBothStored is RunMemoryBothOpts behind the persistent store;
-// the Z and X halves are stored as separate points (config nested under a
-// basis tag, X at Seed+1 per the RunMemoryBothOpts convention). fromStore
-// reports whether *both* halves were served without Monte-Carlo work.
-func RunMemoryBothStored(c *code.Code, model *noise.Model, o RunOptions, so StoreOptions) (z, x *MemoryResult, combined float64, fromStore bool, err error) {
+// RunMemoryBoth runs memory-Z at o.Seed and memory-X at o.Seed+1 through
+// RunMemory (o.Basis is ignored) and returns the combined per-round logical
+// error rate (the union rate of either logical failing). Behind a store
+// the halves are separate points, the caller's config nested under a basis
+// tag; fromStore reports whether *both* halves were served without
+// Monte-Carlo work.
+func RunMemoryBoth(c *code.Code, sampleModel, decodeModel *noise.Model, o RunOptions) (z, x *MemoryResult, combined float64, fromStore bool, err error) {
 	zo := o
 	zo.Basis = lattice.ZCheck
-	zso := so
-	zso.Config = basisConfig{Basis: "z", Config: so.Config}
-	z, zStored, err := RunMemoryStored(c, model, nil, zo, zso)
+	zo.Store.Config = basisConfig{Basis: "z", Config: o.Store.Config}
+	z, zStored, err := RunMemory(c, sampleModel, decodeModel, zo)
 	if err != nil {
 		return nil, nil, 0, false, err
 	}
 	xo := o
 	xo.Basis = lattice.XCheck
 	xo.Seed = o.Seed + 1
-	xso := so
-	xso.Config = basisConfig{Basis: "x", Config: so.Config}
-	x, xStored, err := RunMemoryStored(c, model, nil, xo, xso)
+	xo.Store.Config = basisConfig{Basis: "x", Config: o.Store.Config}
+	x, xStored, err := RunMemory(c, sampleModel, decodeModel, xo)
 	if err != nil {
 		return nil, nil, 0, false, err
 	}

@@ -15,7 +15,9 @@ import (
 	. "surfdeformer/internal/sim"
 )
 
-func storedTestSetup(t *testing.T) (*code.Code, *noise.Model, RunOptions, *store.Store) {
+// storedTestSetup returns a d=3 code, its model, and the same run options
+// twice: plain (no store) and behind a fresh store under kind.
+func storedTestSetup(t *testing.T, kind string) (*code.Code, *noise.Model, RunOptions, RunOptions) {
 	t.Helper()
 	c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 3))
 	model := noise.Uniform(4e-3)
@@ -31,7 +33,9 @@ func storedTestSetup(t *testing.T) (*code.Code, *noise.Model, RunOptions, *store
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	return c, model, o, st
+	so := o
+	so.Store = StoreOptions{Store: st, Resume: true, Kind: kind, Config: storedCfg{D: 3, Seed: 11}}
+	return c, model, o, so
 }
 
 type storedCfg struct {
@@ -42,17 +46,16 @@ type storedCfg struct {
 // A stored point must be served bit-identically to the run that produced
 // it — same counts, same floats, no Monte-Carlo work.
 func TestRunMemoryStoredReplaysExactly(t *testing.T) {
-	c, model, o, st := storedTestSetup(t)
-	so := StoreOptions{Store: st, Resume: true, Kind: "test", Config: storedCfg{D: 3, Seed: 11}}
+	c, model, o, so := storedTestSetup(t, "test")
 
-	fresh, fromStore, err := RunMemoryStored(c, model, nil, o, so)
+	fresh, fromStore, err := RunMemory(c, model, nil, so)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fromStore {
 		t.Fatal("first run cannot come from the store")
 	}
-	baseline, err := RunMemoryOpts(c, model, nil, o)
+	baseline, _, err := RunMemory(c, model, nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestRunMemoryStoredReplaysExactly(t *testing.T) {
 		t.Fatalf("stored path diverges from plain path:\n%+v\n%+v", fresh, baseline)
 	}
 
-	replay, fromStore, err := RunMemoryStored(c, model, nil, o, so)
+	replay, fromStore, err := RunMemory(c, model, nil, so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +79,15 @@ func TestRunMemoryStoredReplaysExactly(t *testing.T) {
 // stream; the merged aggregate has the summed counts and a CI recomputed
 // from them.
 func TestRunMemoryStoredTopUp(t *testing.T) {
-	c, model, o, st := storedTestSetup(t)
-	so := StoreOptions{Store: st, Resume: true, Kind: "test", Config: storedCfg{D: 3, Seed: 11}}
+	c, model, o, so := storedTestSetup(t, "test")
 
-	first, _, err := RunMemoryStored(c, model, nil, o, so)
+	first, _, err := RunMemory(c, model, nil, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grow := o
+	grow := so
 	grow.Shots = 5000
-	merged, fromStore, err := RunMemoryStored(c, model, nil, grow, so)
+	merged, fromStore, err := RunMemory(c, model, nil, grow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +99,10 @@ func TestRunMemoryStoredTopUp(t *testing.T) {
 	}
 	// The remainder segment runs the documented segment stream; the merge
 	// must equal first + that segment exactly.
-	segOpts := grow
+	segOpts := o
 	segOpts.Shots = 3000
 	segOpts.Seed = SegmentSeed(o.Seed, 1)
-	seg, err := RunMemoryOpts(c, model, nil, segOpts)
+	seg, _, err := RunMemory(c, model, nil, segOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestRunMemoryStoredTopUp(t *testing.T) {
 		t.Fatal("merged CI not recomputed from merged counts")
 	}
 	// Served on the next request at the grown budget.
-	again, fromStore, err := RunMemoryStored(c, model, nil, grow, so)
+	again, fromStore, err := RunMemory(c, model, nil, grow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +145,14 @@ func TestSegmentSeedDisjointFromShards(t *testing.T) {
 // An adaptive request served against a stored early-stopped point must not
 // recompute; distinct TargetRSE values hash to distinct points.
 func TestRunMemoryStoredAdaptive(t *testing.T) {
-	c, model, o, st := storedTestSetup(t)
-	o.TargetRSE = 0.3
-	o.Shots = 50000
-	so := StoreOptions{Store: st, Resume: true, Kind: "test", Config: storedCfg{D: 3, Seed: 11}}
-	first, _, err := RunMemoryStored(c, model, nil, o, so)
+	c, model, _, so := storedTestSetup(t, "test")
+	so.TargetRSE = 0.3
+	so.Shots = 50000
+	first, _, err := RunMemory(c, model, nil, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, fromStore, err := RunMemoryStored(c, model, nil, o, so)
+	again, fromStore, err := RunMemory(c, model, nil, so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,18 +169,17 @@ func TestRunMemoryStoredAdaptive(t *testing.T) {
 // the top-up adds at most a couple of shard-sized chunks, not a whole
 // fresh adaptive budget.
 func TestRunMemoryStoredAdaptiveTopUpIsCheap(t *testing.T) {
-	c, model, o, st := storedTestSetup(t)
-	so := StoreOptions{Store: st, Resume: true, Kind: "test", Config: storedCfg{D: 3, Seed: 11}}
+	c, model, o, so := storedTestSetup(t, "test")
 
 	// Seed the store with a fixed 2000-shot segment (rate ~2% at d=3,
 	// p=4e-3: RSE just above 0.15), then ask for 0.15 adaptively.
-	if _, _, err := RunMemoryStored(c, model, nil, o, so); err != nil {
+	if _, _, err := RunMemory(c, model, nil, so); err != nil {
 		t.Fatal(err)
 	}
-	adapt := o
+	adapt := so
 	adapt.TargetRSE = 0.15
 	adapt.Shots = 100000
-	merged, fromStore, err := RunMemoryStored(c, model, nil, adapt, so)
+	merged, fromStore, err := RunMemory(c, model, nil, adapt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,23 +201,22 @@ func TestRunMemoryStoredAdaptiveTopUpIsCheap(t *testing.T) {
 }
 
 func TestRunMemoryBothStoredRoundTrip(t *testing.T) {
-	c, model, o, st := storedTestSetup(t)
-	so := StoreOptions{Store: st, Resume: true, Kind: "test-both", Config: storedCfg{D: 3, Seed: 11}}
-	z1, x1, comb1, fromStore, err := RunMemoryBothStored(c, model, o, so)
+	c, model, o, so := storedTestSetup(t, "test-both")
+	z1, x1, comb1, fromStore, err := RunMemoryBoth(c, model, nil, so)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fromStore {
 		t.Fatal("first run cannot come from the store")
 	}
-	bz, bx, bcomb, err := RunMemoryBothOpts(c, model, o)
+	bz, bx, bcomb, _, err := RunMemoryBoth(c, model, nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(z1, bz) || !reflect.DeepEqual(x1, bx) || comb1 != bcomb {
 		t.Fatal("stored both-path diverges from plain both-path")
 	}
-	z2, x2, comb2, fromStore, err := RunMemoryBothStored(c, model, o, so)
+	z2, x2, comb2, fromStore, err := RunMemoryBoth(c, model, nil, so)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -632,28 +632,19 @@ func syncDir(dir string) {
 // shortest-round-trip float formatting makes numeric fields stable across
 // runs. The config should describe the *generator* of the point — sizes,
 // rates, counts, policy and decoder names, seed, adaptive target — not
-// expanded artifacts derived from them.
-func Key(kind string, config any) (string, error) {
+// expanded artifacts derived from them. canon is the canonical config JSON
+// the key hashes, which is what the point's rows carry as Config.
+func Key(kind string, config any) (key string, canon []byte, err error) {
 	raw, err := json.Marshal(config)
 	if err != nil {
-		return "", fmt.Errorf("store: hashing config: %w", err)
+		return "", nil, fmt.Errorf("store: hashing config: %w", err)
 	}
-	canon, err := Canonicalize(raw)
+	canon, err = Canonicalize(raw)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	h := sha256.Sum256([]byte(kind + "\x00" + string(canon)))
-	return hex.EncodeToString(h[:16]), nil
-}
-
-// MustKey is Key for configurations known to marshal (plain structs of
-// scalars); it panics otherwise.
-func MustKey(kind string, config any) string {
-	k, err := Key(kind, config)
-	if err != nil {
-		panic(err)
-	}
-	return k
+	return hex.EncodeToString(h[:16]), canon, nil
 }
 
 // Canonicalize rewrites a JSON document into the canonical form hashed by

@@ -86,32 +86,32 @@ func TestHashStableAcrossFieldOrder(t *testing.T) {
 		P     float64 `json:"p"`
 		D     int     `json:"d"`
 	}
-	ka, err := Key("sweep", a{D: 7, P: 4e-3, Label: "uf"})
+	ka, _, err := Key("sweep", a{D: 7, P: 4e-3, Label: "uf"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := Key("sweep", b{Label: "uf", P: 0.004, D: 7})
+	kb, _, err := Key("sweep", b{Label: "uf", P: 0.004, D: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ka != kb {
 		t.Fatalf("field order changed the hash: %s vs %s", ka, kb)
 	}
-	kc, _ := Key("sweep", a{D: 7, P: 4e-3, Label: "greedy"})
+	kc, _, _ := Key("sweep", a{D: 7, P: 4e-3, Label: "greedy"})
 	if kc == ka {
 		t.Fatal("distinct configs must hash apart")
 	}
-	kd, _ := Key("other", a{D: 7, P: 4e-3, Label: "uf"})
+	kd, _, _ := Key("other", a{D: 7, P: 4e-3, Label: "uf"})
 	if kd == ka {
 		t.Fatal("kind must participate in the hash")
 	}
 	// Nested maps canonicalize too (map iteration order is random in Go).
 	for i := 0; i < 8; i++ {
-		k, err := Key("m", map[string]any{"z": 1, "a": 2, "nested": map[string]int{"x": 1, "y": 2}})
+		k, _, err := Key("m", map[string]any{"z": 1, "a": 2, "nested": map[string]int{"x": 1, "y": 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k0, _ := Key("m", map[string]any{"nested": map[string]int{"y": 2, "x": 1}, "a": 2, "z": 1})
+		k0, _, _ := Key("m", map[string]any{"nested": map[string]int{"y": 2, "x": 1}, "a": 2, "z": 1})
 		if k != k0 {
 			t.Fatal("map key order changed the hash")
 		}

@@ -223,30 +223,20 @@ func (p *Patch) MemoryExperiment(o MemoryOptions) (*MemoryResult, error) {
 	if o.TargetRSE > 0 && o.MaxShots > 0 {
 		shots = o.MaxShots
 	}
-	runOpts := sim.RunOptions{
-		Rounds:    o.Rounds,
-		Factory:   decoder.UnionFindFactory(),
-		Shots:     shots,
-		Workers:   o.Workers,
-		TargetRSE: o.TargetRSE,
-	}
 	// Untreated defects decode with nominal priors; otherwise decode with
 	// the sampling model itself (nil decode model = matched).
 	var decodeModel *noise.Model
 	if len(o.Defective) > 0 && !o.DecoderAware {
 		decodeModel = nominal
 	}
-	var zRes, xRes *sim.MemoryResult
-	var err error
-	runOpts.Basis = lattice.ZCheck
-	runOpts.Seed = o.Seed
-	zRes, err = sim.RunMemoryOpts(p.code, model, decodeModel, runOpts)
-	if err != nil {
-		return nil, err
-	}
-	runOpts.Basis = lattice.XCheck
-	runOpts.Seed = o.Seed + 1
-	xRes, err = sim.RunMemoryOpts(p.code, model, decodeModel, runOpts)
+	zRes, xRes, perRound, _, err := sim.RunMemoryBoth(p.code, model, decodeModel, sim.RunOptions{
+		Rounds:    o.Rounds,
+		Factory:   decoder.UnionFindFactory(),
+		Shots:     shots,
+		Workers:   o.Workers,
+		TargetRSE: o.TargetRSE,
+		Seed:      o.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +245,7 @@ func (p *Patch) MemoryExperiment(o MemoryOptions) (*MemoryResult, error) {
 		Shots:            zRes.Shots + xRes.Shots,
 		Failures:         zRes.Failures + xRes.Failures,
 		LogicalErrorRate: combinedShot,
-		PerRound:         1 - (1-zRes.PerRound)*(1-xRes.PerRound),
+		PerRound:         perRound,
 		CILow:            1 - (1-zRes.CILow)*(1-xRes.CILow),
 		CIHigh:           1 - (1-zRes.CIHigh)*(1-xRes.CIHigh),
 		EarlyStopped:     zRes.EarlyStopped || xRes.EarlyStopped,
