@@ -11,27 +11,42 @@ import (
 // TestDecodeZeroAllocs enforces the hot-path allocation contract: decoding
 // performs zero heap allocations per shot. Scratch is preallocated at
 // worst-case bounds in NewUnionFind, so this holds from the first call,
-// not just at steady state.
+// not just at steady state. The d=9, p=1e-2 case grows large clusters over
+// many iterations, filling the per-edge growth scratch far past the d=5
+// case.
 func TestDecodeZeroAllocs(t *testing.T) {
-	dem := demFor(t, 5, 5, 5e-3)
-	g := NewGraph(dem)
-	uf := NewUnionFind(g)
-	sampler := sim.NewSampler(dem)
-	rng := rand.New(rand.NewSource(17))
-	corpus := make([][]int32, 64)
-	for i := range corpus {
-		flagged, _ := sampler.Shot(rng)
-		corpus[i] = slices.Clone(flagged)
+	cases := []struct {
+		name      string
+		d, rounds int
+		p         float64
+		runs      int
+	}{
+		{name: "d5", d: 5, rounds: 5, p: 5e-3, runs: 100},
+		{name: "d9-dense", d: 9, rounds: 8, p: 1e-2, runs: 10},
 	}
-	sink := false
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, flagged := range corpus {
-			sink = sink != uf.DecodeToObs(flagged)
-		}
-	})
-	_ = sink
-	if allocs != 0 {
-		t.Errorf("DecodeToObs allocates %.1f per %d-shot run, want 0", allocs, len(corpus))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dem := demFor(t, tc.d, tc.rounds, tc.p)
+			g := NewGraph(dem)
+			uf := NewUnionFind(g)
+			sampler := sim.NewSampler(dem)
+			rng := rand.New(rand.NewSource(17))
+			corpus := make([][]int32, 64)
+			for i := range corpus {
+				flagged, _ := sampler.Shot(rng)
+				corpus[i] = slices.Clone(flagged)
+			}
+			sink := false
+			allocs := testing.AllocsPerRun(tc.runs, func() {
+				for _, flagged := range corpus {
+					sink = sink != uf.DecodeToObs(flagged)
+				}
+			})
+			_ = sink
+			if allocs != 0 {
+				t.Errorf("DecodeToObs allocates %.1f per %d-shot run, want 0", allocs, len(corpus))
+			}
+		})
 	}
 }
 

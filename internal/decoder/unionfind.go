@@ -42,7 +42,14 @@ type UnionFind struct {
 	flag     []bool // peeling scratch
 
 	touched []int32 // nodes absorbed this shot
-	edges   []int32 // edge indices with non-zero growth this shot
+	edges   []int32 // edges with non-zero growth this shot, any order; read by reset
+
+	// touchIter records the growth iteration that first grew an edge
+	// (valid once its growth is non-zero). grownKeys holds one packed
+	// int64(touchIter)<<32|edge key per grown edge; peel sorts it once,
+	// giving its walk iteration-major, ascending-edge order.
+	touchIter []int32
+	grownKeys []int64
 
 	// epoch versions the stamped scratch below. It advances once per
 	// growth iteration and once per peel, so a stamp matches only entries
@@ -59,7 +66,7 @@ type UnionFind struct {
 	incCur     []int32  // CSR fill cursor; row end after the fill pass
 	incList    []int32  // backing array for per-shot incidence rows
 
-	frontier []int64 // packed int64(ei)<<2|sides keys, sorted per iteration
+	frontier []int32 // non-grown edges on active clusters, in gather order
 	order    []int32 // peeling BFS order; doubles as the BFS queue
 	corr     []int32 // correction scratch returned by DecodeToEdges
 
@@ -90,6 +97,9 @@ func NewUnionFind(g *Graph) *UnionFind {
 		touched: make([]int32, 0, n),
 		edges:   make([]int32, 0, m),
 
+		touchIter: make([]int32, m),
+		grownKeys: make([]int64, 0, m),
+
 		rootSeen:   make([]uint64, n),
 		activeRoot: make([]uint64, n),
 		edgeSeen:   make([]uint64, m),
@@ -101,7 +111,7 @@ func NewUnionFind(g *Graph) *UnionFind {
 		incCur:     make([]int32, n),
 		incList:    make([]int32, 2*m),
 
-		frontier: make([]int64, 0, m),
+		frontier: make([]int32, 0, m),
 		order:    make([]int32, 0, n),
 		corr:     make([]int32, 0, n),
 	}
@@ -196,28 +206,38 @@ func (u *UnionFind) DecodeToEdges(flagged []int32) []int32 {
 		if len(u.frontier) == 0 {
 			break
 		}
-		// Process the frontier in ascending edge order: the packed keys
-		// sort by edge index first, so the union/absorb sequence — and
-		// therefore Monte-Carlo failure counts — is deterministic.
-		slices.Sort(u.frontier)
-		for _, key := range u.frontier {
-			ei := int32(key >> 2)
-			sides := float64(key & 3)
+		// Growth increments do not depend on order, so grow the frontier
+		// as gathered and compact the edges that complete into its prefix
+		// (the write index never passes the read index). minStep > 0, so
+		// zero growth marks an edge's first touch.
+		done := 0
+		for _, ei := range u.frontier {
 			if u.growth[ei] == 0 {
+				u.touchIter[ei] = int32(iter)
 				u.edges = append(u.edges, ei)
 			}
-			u.growth[ei] += minStep * sides
-			if u.growth[ei] >= u.g.Edges[ei].Weight-1e-12 && !u.grown[ei] {
-				u.grown[ei] = true
-				e := u.g.Edges[ei]
-				if e.V == Boundary {
-					u.absorb(e.U)
-					u.bound[u.find(e.U)] = true
-				} else {
-					u.absorb(e.U)
-					u.absorb(e.V)
-					u.union(e.U, e.V)
-				}
+			u.growth[ei] += minStep * float64(u.edgeSides[ei])
+			if u.growth[ei] >= u.g.Edges[ei].Weight-1e-12 {
+				u.frontier[done] = ei
+				done++
+			}
+		}
+		// Absorb and union the completed edges in ascending edge order,
+		// which fixes the order of u.touched independently of how the
+		// frontier was gathered.
+		completed := u.frontier[:done]
+		slices.Sort(completed)
+		for _, ei := range completed {
+			u.grown[ei] = true
+			u.grownKeys = append(u.grownKeys, int64(u.touchIter[ei])<<32|int64(ei))
+			e := u.g.Edges[ei]
+			if e.V == Boundary {
+				u.absorb(e.U)
+				u.bound[u.find(e.U)] = true
+			} else {
+				u.absorb(e.U)
+				u.absorb(e.V)
+				u.union(e.U, e.V)
 			}
 		}
 	}
@@ -249,10 +269,10 @@ func (u *UnionFind) markActive() int {
 }
 
 // gatherFrontier collects the non-grown edges incident to active clusters
-// into u.frontier as packed int64(ei)<<2|sides keys, where sides is the
-// number of active sides (an edge grown from both sides completes twice as
-// fast, capped at 2). It returns the uniform growth step: the smallest
-// remaining weight over the frontier at the per-edge growth rate.
+// into u.frontier, each once, and leaves in u.edgeSides the number of
+// active sides (an edge grown from both sides completes twice as fast,
+// capped at 2). It returns the uniform growth step: the smallest remaining
+// weight over the frontier at the per-edge growth rate.
 func (u *UnionFind) gatherFrontier() float64 {
 	e := u.epoch
 	u.frontier = u.frontier[:0]
@@ -267,24 +287,23 @@ func (u *UnionFind) gatherFrontier() float64 {
 			if u.edgeSeen[ei] != e {
 				u.edgeSeen[ei] = e
 				u.edgeSides[ei] = 1
-				u.frontier = append(u.frontier, int64(ei))
+				u.frontier = append(u.frontier, ei)
 			} else {
 				u.edgeSides[ei]++
 			}
 		}
 	}
 	minStep := -1.0
-	for i, key := range u.frontier {
-		ei := int32(key)
+	for _, ei := range u.frontier {
 		sides := u.edgeSides[ei]
 		if sides > 2 {
 			sides = 2
+			u.edgeSides[ei] = 2
 		}
 		rem := (u.g.Edges[ei].Weight - u.growth[ei]) / float64(sides)
 		if minStep < 0 || rem < minStep {
 			minStep = rem
 		}
-		u.frontier[i] = int64(ei)<<2 | int64(sides)
 	}
 	return minStep
 }
@@ -300,14 +319,16 @@ func (u *UnionFind) peel(flagged []int32) int {
 	e := u.epoch
 	u.corr = u.corr[:0]
 
+	// Grown edges in first-touch order: iteration-major, ascending edge
+	// within an iteration. This fixes the incidence rows and boundary
+	// seeds, hence the BFS forest and the correction.
+	slices.Sort(u.grownKeys)
+
 	// Per-shot incidence over grown edges as a CSR index into u.incList.
 	// Every endpoint of a grown edge is in u.touched (absorb runs when an
 	// edge completes), so offsets can be assigned by walking touched.
-	for _, ei := range u.edges {
-		if !u.grown[ei] {
-			continue
-		}
-		ed := u.g.Edges[ei]
+	for _, key := range u.grownKeys {
+		ed := u.g.Edges[int32(key)]
 		u.bumpDeg(ed.U, e)
 		if ed.V != Boundary {
 			u.bumpDeg(ed.V, e)
@@ -323,10 +344,8 @@ func (u *UnionFind) peel(flagged []int32) int {
 		u.incCur[n] = off
 		off += deg
 	}
-	for _, ei := range u.edges {
-		if !u.grown[ei] {
-			continue
-		}
+	for _, key := range u.grownKeys {
+		ei := int32(key)
 		ed := u.g.Edges[ei]
 		u.incList[u.incCur[ed.U]] = ei
 		u.incCur[ed.U]++
@@ -362,9 +381,10 @@ func (u *UnionFind) peel(flagged []int32) int {
 	}
 	// Components with boundary attachments are rooted at the boundary:
 	// exhaust their BFS first so leftover flags drain into the boundary.
-	for _, ei := range u.edges {
+	for _, key := range u.grownKeys {
+		ei := int32(key)
 		ed := u.g.Edges[ei]
-		if u.grown[ei] && ed.V == Boundary && u.visited[ed.U] != e {
+		if ed.V == Boundary && u.visited[ed.U] != e {
 			u.visited[ed.U] = e
 			u.parentEdge[ed.U] = ei
 			u.order = append(u.order, ed.U)
@@ -442,4 +462,5 @@ func (u *UnionFind) reset() {
 	}
 	u.touched = u.touched[:0]
 	u.edges = u.edges[:0]
+	u.grownKeys = u.grownKeys[:0]
 }

@@ -298,26 +298,31 @@ func differentialCorpus(t *testing.T, dem *sim.DEM, shots int, seed int64) [][]i
 // predictions, shot for shot.
 func TestUnionFindMatchesReference(t *testing.T) {
 	configs := []struct {
-		name       string
-		d, rounds  int
-		p          float64
-		shots      int
-		defectSite *lattice.Coord
+		name      string
+		d, rounds int
+		p         float64
+		shots     int
+		defects   []lattice.Coord
 	}{
 		{name: "d3-low-p", d: 3, rounds: 4, p: 2e-3, shots: 400},
 		{name: "d5-mid-p", d: 5, rounds: 5, p: 8e-3, shots: 400},
 		{name: "d5-high-p", d: 5, rounds: 4, p: 2e-2, shots: 300},
 		{name: "d5-defect", d: 5, rounds: 4, p: 1e-3, shots: 300,
-			defectSite: &lattice.Coord{Row: 5, Col: 5}},
+			defects: []lattice.Coord{{Row: 5, Col: 5}}},
+		// The memory-sweep shape: large clusters grow over many iterations,
+		// so first-touch order and per-iteration completion order both
+		// matter for the peel.
+		{name: "d9-sweep", d: 9, rounds: 8, p: 1e-3, shots: 200,
+			defects: []lattice.Coord{{Row: 5, Col: 7}, {Row: 11, Col: 13}}},
 	}
 	for ci, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, cfg.d))
 			model := noise.Uniform(cfg.p)
-			if cfg.defectSite != nil {
+			if cfg.defects != nil {
 				// Defect-laden weights exercise irregular cluster growth
 				// steps (the fuzz-corpus regime of heavy local noise).
-				model = model.WithDefects([]lattice.Coord{*cfg.defectSite}, noise.DefaultDefectRate)
+				model = model.WithDefects(cfg.defects, noise.DefaultDefectRate)
 			}
 			dem, err := sim.BuildDEM(c, model, cfg.rounds, lattice.ZCheck)
 			if err != nil {
@@ -364,4 +369,97 @@ func obsOf(g *Graph, correction []int32) bool {
 		}
 	}
 	return obs
+}
+
+// fuzzGraphs are the fixed decoding graphs FuzzUnionFindReference draws
+// from. They stay at d ≤ 5: the map-based reference is slow at d=9.
+func fuzzGraphs(f *testing.F) []*Graph {
+	f.Helper()
+	shapes := []struct {
+		d       int
+		p       float64
+		defects []lattice.Coord
+	}{
+		{d: 3, p: 1e-3},
+		{d: 5, p: 1e-3},
+		{d: 5, p: 1e-3, defects: []lattice.Coord{{Row: 5, Col: 5}}},
+		{d: 5, p: 2e-2},
+	}
+	graphs := make([]*Graph, len(shapes))
+	for i, s := range shapes {
+		c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, s.d))
+		model := noise.Uniform(s.p)
+		if s.defects != nil {
+			model = model.WithDefects(s.defects, noise.DefaultDefectRate)
+		}
+		dem, err := sim.BuildDEM(c, model, s.d, lattice.ZCheck)
+		if err != nil {
+			f.Fatal(err)
+		}
+		graphs[i] = NewGraph(dem)
+	}
+	return graphs
+}
+
+// fuzzFlags maps fuzz bytes to a sorted detector subset of at most
+// maxFuzzFlags detectors: each byte pair is a big-endian detector index
+// modulo numDets, and repeats are dropped.
+func fuzzFlags(raw []byte, numDets int) []int32 {
+	const maxFuzzFlags = 24
+	var flagged []int32
+	for i := 0; i+1 < len(raw) && len(flagged) < maxFuzzFlags; i += 2 {
+		det := int32((int(raw[i])<<8 | int(raw[i+1])) % numDets)
+		if !slices.Contains(flagged, det) {
+			flagged = append(flagged, det)
+		}
+	}
+	slices.Sort(flagged)
+	return flagged
+}
+
+// FuzzUnionFindReference decodes arbitrary detector subsets, not just
+// sampled ones, on fixed graphs (pristine d=3 and d=5, d=5 with a defect,
+// d=5 at p=2e-2). The flat decoder must return the reference's correction
+// edge for edge, the correction's boundary must equal the flagged set
+// modulo the boundary node, and no shot may truncate.
+func FuzzUnionFindReference(f *testing.F) {
+	graphs := fuzzGraphs(f)
+	flats := make([]*UnionFind, len(graphs))
+	refs := make([]*refUnionFind, len(graphs))
+	for i, g := range graphs {
+		flats[i] = NewUnionFind(g)
+		refs[i] = newRefUnionFind(g)
+	}
+	f.Add(uint8(0), []byte{0, 0})
+	f.Add(uint8(1), []byte{0, 3, 0, 4, 0, 40})
+	f.Add(uint8(2), []byte{0, 50, 0, 51, 0, 56, 0, 57, 0, 62})
+	f.Add(uint8(3), []byte{0, 1, 0, 17, 0, 33, 0, 49, 0, 65, 0, 81, 0, 97, 0, 113})
+	f.Fuzz(func(t *testing.T, graphSel uint8, raw []byte) {
+		i := int(graphSel) % len(graphs)
+		g, flat, ref := graphs[i], flats[i], refs[i]
+		flagged := fuzzFlags(raw, g.NumDets)
+		truncBefore := flat.Truncations
+		got := slices.Clone(flat.DecodeToEdges(flagged))
+		want := ref.DecodeToEdges(flagged)
+		if !slices.Equal(got, want) {
+			t.Fatalf("graph %d: corrections diverge\nflat: %v\nref:  %v\nflagged: %v", i, got, want, flagged)
+		}
+		if n := flat.Truncations - truncBefore; n != 0 {
+			t.Fatalf("graph %d: %d truncations on flagged %v", i, n, flagged)
+		}
+		odd := make([]bool, g.NumDets)
+		for _, ei := range got {
+			e := g.Edges[ei]
+			odd[e.U] = !odd[e.U]
+			if e.V != Boundary {
+				odd[e.V] = !odd[e.V]
+			}
+		}
+		for _, d := range flagged {
+			odd[d] = !odd[d]
+		}
+		if j := slices.Index(odd, true); j >= 0 {
+			t.Fatalf("graph %d: correction %v leaves detector %d unmatched; flagged %v", i, got, j, flagged)
+		}
+	})
 }
