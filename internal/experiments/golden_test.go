@@ -35,8 +35,10 @@ type trajGolden struct {
 }
 
 // goldenFamilies is the fingerprint matrix's config axis: the single-patch
-// scenarios every store row is built from, plus a 1-patch layout and a
-// 2-patch layout with a lattice-surgery schedule.
+// scenarios every store row is built from, plus a 1-patch layout, a 2-patch
+// layout with a lattice-surgery schedule, and a 4-patch qft layout on a 2%
+// device — the family whose cells exercise surgery stalls, replans,
+// strip-check rejections and per-tile boot adaptation.
 func goldenFamilies() []struct {
 	name string
 	cfg  traj.Config
@@ -50,6 +52,9 @@ func goldenFamilies() []struct {
 	lay1.Layout = &traj.LayoutConfig{Patches: 1}
 	lay2 := traj.QuickConfig()
 	lay2.Layout = &traj.LayoutConfig{Patches: 2, Program: "simon"}
+	lay4 := traj.QuickConfig()
+	lay4.Layout = &traj.LayoutConfig{Patches: 4, Program: "qft"}
+	lay4.Device = defect.NewDeviceModel(0.02)
 	return []struct {
 		name string
 		cfg  traj.Config
@@ -60,6 +65,7 @@ func goldenFamilies() []struct {
 		{"halflife-10", halflife},
 		{"layout-1", lay1},
 		{"layout-2-simon", lay2},
+		{"layout-4-qft-device", lay4},
 	}
 }
 
@@ -109,6 +115,18 @@ func TestTrajGoldenFingerprints(t *testing.T) {
 		return
 	}
 	if *updateTrajGolden {
+		var old *trajGolden
+		if b, err := os.ReadFile(trajGoldenPath); err == nil {
+			old = new(trajGolden)
+			if err := json.Unmarshal(b, old); err != nil {
+				t.Fatalf("%s: %v", trajGoldenPath, err)
+			}
+		} else if !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if err := checkTrajGoldenUpdate(old, trajEngineRev, got); err != nil {
+			t.Fatalf("refusing to rewrite %s: %v", trajGoldenPath, err)
+		}
 		writeGolden(t, trajGoldenPath, trajGolden{Rev: trajEngineRev, Results: got})
 		return
 	}
@@ -121,6 +139,56 @@ func TestTrajGoldenFingerprints(t *testing.T) {
 	if moved := diffFingerprints(t, want.Results, got); moved > 0 {
 		t.Errorf("%d trajectory fingerprints moved: engine output changed; bump trajEngineRev and regenerate with -update-traj-golden",
 			moved)
+	}
+}
+
+// checkTrajGoldenUpdate decides whether -update-traj-golden may replace the
+// existing file old (nil when there is none) with the hashes got at engine
+// revision rev. At an unchanged revision only new keys may appear: a moved
+// or dropped hash means engine output changed without a revision bump. A
+// bumped revision must move at least one existing hash, or the bump
+// invalidates every stored row for nothing.
+func checkTrajGoldenUpdate(old *trajGolden, rev int, got map[string]string) error {
+	if old == nil {
+		return nil
+	}
+	var moved []string
+	for k, h := range old.Results {
+		if got[k] != h {
+			moved = append(moved, k)
+		}
+	}
+	sort.Strings(moved)
+	switch {
+	case old.Rev == rev && len(moved) > 0:
+		return fmt.Errorf("%d fingerprints moved at unchanged rev %d (first %s): bump trajEngineRev", len(moved), rev, moved[0])
+	case old.Rev != rev && len(moved) == 0:
+		return fmt.Errorf("trajEngineRev went %d → %d but no fingerprint moved: keep rev %d", old.Rev, rev, old.Rev)
+	}
+	return nil
+}
+
+// TestCheckTrajGoldenUpdate pins the -update-traj-golden guard.
+func TestCheckTrajGoldenUpdate(t *testing.T) {
+	old := &trajGolden{Rev: 4, Results: map[string]string{"a": "1", "b": "2"}}
+	for _, tc := range []struct {
+		name string
+		old  *trajGolden
+		rev  int
+		got  map[string]string
+		ok   bool
+	}{
+		{"no file", nil, 4, map[string]string{"a": "1"}, true},
+		{"unchanged", old, 4, map[string]string{"a": "1", "b": "2"}, true},
+		{"new key at same rev", old, 4, map[string]string{"a": "1", "b": "2", "c": "3"}, true},
+		{"moved at same rev", old, 4, map[string]string{"a": "1", "b": "9"}, false},
+		{"dropped at same rev", old, 4, map[string]string{"a": "1"}, false},
+		{"bump that moved a hash", old, 5, map[string]string{"a": "1", "b": "9"}, true},
+		{"bump that moved nothing", old, 5, map[string]string{"a": "1", "b": "2", "c": "3"}, false},
+	} {
+		if err := checkTrajGoldenUpdate(tc.old, tc.rev, tc.got); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok %v", tc.name, err, tc.ok)
+		}
 	}
 }
 
