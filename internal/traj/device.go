@@ -10,7 +10,6 @@ package traj
 
 import (
 	"surfdeformer/internal/code"
-	"surfdeformer/internal/core"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/lattice"
@@ -25,10 +24,7 @@ func armMitigation(cfg Config, mode Mode) (deform.Mitigation, error) {
 	if cfg.SuperThreshold != 0 {
 		mit.SuperThreshold = cfg.SuperThreshold
 	}
-	if err := mit.Validate(); err != nil {
-		return mit, err
-	}
-	return mit, nil
+	return mit, mit.Validate()
 }
 
 // sampleDevice draws the trajectory's fabrication-defect device (nil model
@@ -78,50 +74,48 @@ func mergedRates(dynamic, device map[lattice.Coord]float64) map[lattice.Coord]fl
 	return out
 }
 
-// bootAdapt adapts patch i of a system to the sampled device before cycle
-// 0: the device's defective data qubits (filtered by contains when non-nil,
-// for layout tiles) are routed through the mitigation ladder at the
-// device's error rate and handled by the strongest enabled structural tier
-// — removal (Step) or a super-stabilizer bandage (Super). Returns the
-// adapted code (nil when nothing acted), the number of sites bandaged, and
-// any deformation error (a device so broken the patch cannot boot). Boot
+// bootAdapt adapts patch i to the sampled device before cycle 0 (Siegel et
+// al., arXiv 2211.08468): the device's defective data qubits inside the
+// patch's tile are routed through the mitigation ladder at the device's
+// error rate and handled by the strongest enabled structural tier —
+// removal (Step) or a super-stabilizer bandage (Super), whose sites count
+// toward Result.Bandages. Returns the adapted code (nil when nothing acted)
+// and any deformation error (a device so broken the patch cannot boot). Boot
 // adaptation is permanent: the adapted sites never enter the attribution
 // bookkeeping, so recovery never reincorporates them.
-func bootAdapt(sys *core.System, i int, mit deform.Mitigation, dev *defect.Device, contains func(lattice.Coord) bool) (*code.Code, int, error) {
-	if sys == nil || dev == nil || len(dev.DataDefects) == 0 {
-		return nil, 0, nil
+func (r *run) bootAdapt(i int) (*code.Code, error) {
+	if r.sys == nil || r.device == nil {
+		return nil, nil
 	}
-	sites := dev.DataDefects
-	if contains != nil {
-		sites = nil
-		for _, q := range dev.DataDefects {
-			if contains(q) {
-				sites = append(sites, q)
-			}
+	var sites []lattice.Coord
+	for _, q := range r.device.DataDefects {
+		if r.patches[i].spec.Contains(q) {
+			sites = append(sites, q)
 		}
 	}
 	if len(sites) == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
-	eff, ok := mit.Effective(mit.Route(dev.ErrorRate))
+	eff, ok := r.mit.Effective(r.mit.Route(r.device.ErrorRate))
 	if !ok {
-		return nil, 0, nil
+		return nil, nil
 	}
 	switch eff {
 	case defect.SeverityRemove:
-		st, err := sys.Step(i, sites)
+		st, err := r.sys.Step(i, sites)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return st.Code, 0, nil
+		return st.Code, nil
 	case defect.SeveritySuper:
-		st, err := sys.Super(i, sites)
+		st, err := r.sys.Super(i, sites)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return st.Code, len(sys.Bandaged(i)), nil
+		r.res.Bandages += len(r.sys.Bandaged(i))
+		return st.Code, nil
 	}
-	return nil, 0, nil // reweight-effective: the rate floor handles it
+	return nil, nil // reweight-effective: the rate floor handles it
 }
 
 // dataSites filters an estimated region down to its data-qubit sites — the

@@ -15,7 +15,6 @@ import (
 	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
-	"surfdeformer/internal/detect"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/sim"
 )
@@ -117,7 +116,7 @@ func quantizeMultiplier(m float64) float64 {
 	return math.Exp2(math.Round(math.Log2(m)))
 }
 
-// reweightOverlay computes the estimated-prior site overlay from the
+// reweightOverlay computes patch ps's estimated-prior site overlay from its
 // detector's current window state: every sustained elevated observable is
 // inverted to a site-rate estimate and severity-routed against the ladder.
 // An elevation classified SeverityRemove under a ladder whose deformation
@@ -141,8 +140,10 @@ func quantizeMultiplier(m float64) float64 {
 // full support instead smears the estimated rate over ~8 healthy sites
 // per drifted qubit and makes the reweighted prior *worse* than the
 // nominal one. Returns nil when nothing qualifies.
-func reweightOverlay(w *detect.Window, st *obsStats, mit deform.Mitigation, p, minFactor, flagThreshold float64, flagActive bool) map[lattice.Coord]float64 {
-	ests := w.EstimateRates(p, func(o int32) float64 { return st.baseline[o] }, minFactor, reweightMinFirings)
+func (r *run) reweightOverlay(ps *patchState, st *obsStats) map[lattice.Coord]float64 {
+	p, mit := r.cfg.PhysicalRate, r.mit
+	flagActive := r.cycle >= ps.quietUntil
+	ests := ps.window.EstimateRates(p, func(o int32) float64 { return st.baseline[o] }, r.reweightFactor, reweightMinFirings)
 	type elevation struct {
 		obs  int32
 		rate float64
@@ -156,7 +157,7 @@ func reweightOverlay(w *detect.Window, st *obsStats, mit deform.Mitigation, p, m
 			rate = decoder.MaxEdgeProb
 		}
 		if mit.Route(rate) == defect.SeverityRemove && mit.Handles(defect.SeverityRemove) &&
-			flagActive && est.FireRate >= flagThreshold {
+			flagActive && est.FireRate >= r.cfg.Threshold {
 			continue // severe and actionable by the flag path: removal owns it
 		}
 		kept = append(kept, elevation{obs: est.Observable, rate: rate})
@@ -237,14 +238,14 @@ func overlayError(overlay, truth map[lattice.Coord]float64, onCode map[lattice.C
 // and the cycle-weighted estimated-vs-true error; cycles decoded with the
 // nominal prior while true elevations were live on the code accrue
 // MismatchCycles.
-func accrueReweight(res *Result, elapsed int64, overlay, rates map[lattice.Coord]float64, onCode map[lattice.Coord]bool, p float64) {
-	if len(overlay) > 0 {
-		res.ReweightedCycles += elapsed
-		res.RateErrCycles += overlayError(overlay, rates, onCode, p) * float64(elapsed)
+func (r *run) accrueReweight(ps *patchState, elapsed int64) {
+	if len(ps.overlay) > 0 {
+		r.res.ReweightedCycles += elapsed
+		r.res.RateErrCycles += overlayError(ps.overlay, ps.rates, ps.codeSites, r.cfg.PhysicalRate) * float64(elapsed)
 		return
 	}
-	if activeOnCode(rates, onCode) {
-		res.MismatchCycles += elapsed
+	if activeOnCode(ps.rates, ps.codeSites) {
+		r.res.MismatchCycles += elapsed
 	}
 }
 

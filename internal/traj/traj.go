@@ -28,11 +28,12 @@ package traj
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"surfdeformer/internal/code"
-	"surfdeformer/internal/core"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/detect"
 	"surfdeformer/internal/lattice"
@@ -440,6 +441,8 @@ func Run(cfg Config, mode Mode, seed int64) (*Result, error) {
 }
 
 func (cfg Config) validate() error {
+	// Bounded ranges are written so that NaN, which fails every ordered
+	// comparison, fails them too; open-ended ones also require finite().
 	switch {
 	case cfg.D < 3:
 		return fmt.Errorf("traj: distance %d too small", cfg.D)
@@ -447,22 +450,24 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("traj: horizon %d too short", cfg.Horizon)
 	case cfg.ChunkRounds < 2:
 		return fmt.Errorf("traj: chunk of %d rounds (DEMs need ≥ 2)", cfg.ChunkRounds)
-	case cfg.Window < 1 || cfg.Threshold <= 0 || cfg.Threshold >= 1:
+	case cfg.Window < 1 || !(cfg.Threshold > 0 && cfg.Threshold < 1):
 		return fmt.Errorf("traj: invalid detector window %d/threshold %g", cfg.Window, cfg.Threshold)
-	case cfg.PhysicalRate <= 0 || cfg.PhysicalRate >= 0.5:
+	case !(cfg.PhysicalRate > 0 && cfg.PhysicalRate < 0.5):
 		return fmt.Errorf("traj: physical rate %g", cfg.PhysicalRate)
-	case cfg.ReweightFactor != 0 && cfg.ReweightFactor <= 1:
-		return fmt.Errorf("traj: reweight factor %g must exceed 1 (0 selects the default)", cfg.ReweightFactor)
-	case cfg.Halflife < 0:
-		return fmt.Errorf("traj: negative estimator half-life %g", cfg.Halflife)
+	case !finite(cfg.ReweightFactor) || cfg.ReweightFactor != 0 && cfg.ReweightFactor <= 1:
+		return fmt.Errorf("traj: reweight factor %g must be finite and exceed 1 (0 selects the default)", cfg.ReweightFactor)
+	case !finite(cfg.Halflife) || cfg.Halflife < 0:
+		return fmt.Errorf("traj: estimator half-life %g must be finite and non-negative", cfg.Halflife)
+	case !finite(cfg.SuperThreshold):
+		return fmt.Errorf("traj: super threshold %g is not finite", cfg.SuperThreshold)
 	}
 	if dv := cfg.Device; dv != nil {
 		switch {
-		case dv.QubitDefectRate < 0 || dv.QubitDefectRate > 1:
+		case !(dv.QubitDefectRate >= 0 && dv.QubitDefectRate <= 1):
 			return fmt.Errorf("traj: device qubit defect rate %g outside [0, 1]", dv.QubitDefectRate)
-		case dv.CouplerDefectRate < 0 || dv.CouplerDefectRate > 1:
+		case !(dv.CouplerDefectRate >= 0 && dv.CouplerDefectRate <= 1):
 			return fmt.Errorf("traj: device coupler defect rate %g outside [0, 1]", dv.CouplerDefectRate)
-		case dv.ErrorRate < 0 || dv.ErrorRate > 0.5:
+		case !(dv.ErrorRate >= 0 && dv.ErrorRate <= 0.5):
 			return fmt.Errorf("traj: device error rate %g outside [0, 0.5]", dv.ErrorRate)
 		}
 	}
@@ -483,6 +488,8 @@ func (cfg Config) validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func minDist(c *code.Code) int {
 	dx, dz := c.DistanceX(), c.DistanceZ()
@@ -662,15 +669,17 @@ func newFlags(w *detect.Window, attributed map[int32]*attribution) []int32 {
 	return fresh
 }
 
-// attribute records the newly flagged ids, estimates their hardware region
-// from the current DEM, and credits detection latency to the matching
+// attribute records patch i's newly flagged ids, estimates their hardware
+// region from the chunk's DEM, and credits detection to the matching
 // events. The estimate is the detector's view, not the truth: a flagged
 // check's own ancilla is trusted outright, but a data site is included
 // only when at least two flagged checks cover it (multiplicity voting
 // across the new and previously attributed flags). Taking every flagged
 // check's full support instead over-removes ~4 healthy data qubits per
 // adjacent check and shreds the patch under repeated strikes.
-func attribute(dem *sim.DEM, fresh []int32, attributed map[int32]*attribution, events []*event, cycle int64, res *Result) []lattice.Coord {
+func (r *run) attribute(i int) []lattice.Coord {
+	ps := r.patches[i]
+	attributed := ps.attributed
 	counts := map[lattice.Coord]int{}
 	for _, att := range attributed {
 		for _, q := range att.support {
@@ -682,9 +691,9 @@ func attribute(dem *sim.DEM, fresh []int32, attributed map[int32]*attribution, e
 		support, ancillas []lattice.Coord
 	}
 	var cands []candidate
-	for _, id := range fresh {
+	for _, id := range ps.fresh {
 		var sup, anc []lattice.Coord
-		for _, info := range dem.Observables {
+		for _, info := range ps.dem.Observables {
 			if stableID(info) != id {
 				continue
 			}
@@ -715,7 +724,7 @@ func attribute(dem *sim.DEM, fresh []int32, attributed map[int32]*attribution, e
 	}
 	// Fresh support may have pushed an earlier attribution's data sites to
 	// multiplicity 2: claim them now (sorted id order for determinism).
-	for _, id := range subsetIDs(attributed, fresh) {
+	for _, id := range subsetIDs(attributed, ps.fresh) {
 		att := attributed[id]
 		for _, q := range att.support {
 			if counts[q] >= 2 && att.claim(q) {
@@ -725,27 +734,34 @@ func attribute(dem *sim.DEM, fresh []int32, attributed map[int32]*attribution, e
 		lattice.SortCoords(att.est)
 	}
 
-	// Latency: first estimate overlapping a yet-undetected removable event
-	// while it is still active.
-	for _, e := range events {
-		if !e.remove || e.detectedAt >= 0 || cycle < e.start || cycle >= e.end {
-			continue
-		}
-		for _, q := range e.sites {
-			if estSet[q] {
-				e.detectedAt = cycle
-				res.Detected++
-				res.LatencyCycles += cycle - e.start
-				break
-			}
-		}
-	}
+	r.credit(i, estSet)
 	estimate := make([]lattice.Coord, 0, len(estSet))
 	for q := range estSet {
 		estimate = append(estimate, q)
 	}
 	lattice.SortCoords(estimate)
 	return estimate
+}
+
+// credit counts detection of patch i's removable events: the first
+// estimate overlapping a yet-undetected event while it is still active
+// detects it, with the onset→flag latency.
+func (r *run) credit(i int, estSet map[lattice.Coord]bool) {
+	cycle := r.cycle
+	for _, e := range r.patches[i].events {
+		if !e.remove || e.detectedAt >= 0 || cycle < e.start || cycle >= e.end {
+			continue
+		}
+		for _, q := range e.sites {
+			if estSet[q] {
+				e.detectedAt = cycle
+				r.res.Detected++
+				r.res.Patches[i].Detected++
+				r.res.LatencyCycles += cycle - e.start
+				break
+			}
+		}
+	}
 }
 
 // subsetIDs lists, sorted, the attributed ids not among the fresh ones.
@@ -764,86 +780,53 @@ func subsetIDs(attributed map[int32]*attribution, fresh []int32) []int32 {
 	return ids
 }
 
-// activeRemoveSites returns the union of removable-event regions active at
-// the cycle.
-func activeRemoveSites(events []*event, cycle int64) map[lattice.Coord]bool {
+// recoverPatch drops patch i's subsided attributions — those whose flagged
+// check no longer overlaps an active removable event — and, in the arm's
+// structural tier, undoes what they caused at their sites (minus sites
+// still claimed by an active event): removal arms reincorporate them, the
+// bandage arm releases their super-stabilizers (undoing the gauge merge);
+// other arms only expire the bookkeeping. Boot adaptation never enters the
+// bookkeeping, so it stays permanent. Returns how many sites came back (0
+// when no recovery happened).
+func (r *run) recoverPatch(i int) (int, error) {
+	ps := r.patches[i]
 	active := map[lattice.Coord]bool{}
-	for _, e := range events {
-		if !e.remove || cycle < e.start || cycle >= e.end {
-			continue
-		}
-		for _, q := range e.sites {
-			active[q] = true
-		}
-	}
-	return active
-}
-
-// subsidedSites drops the attributions whose estimated region no longer
-// intersects any active removable event and returns their sites (minus
-// sites still claimed by an active event), sorted. Nil when nothing
-// subsided — the shared front half of the structural recovery paths.
-func subsidedSites(events []*event, attributed map[int32]*attribution, cycle int64) []lattice.Coord {
-	active := activeRemoveSites(events, cycle)
-	drop := subsidedIDs(attributed, active)
-	if len(drop) == 0 {
-		return nil
-	}
-	siteSet := map[lattice.Coord]bool{}
-	for _, id := range drop {
-		for _, q := range attributed[id].est {
-			if !active[q] {
-				siteSet[q] = true
+	for _, e := range ps.events {
+		if e.remove && r.cycle >= e.start && r.cycle < e.end {
+			for _, q := range e.sites {
+				active[q] = true
 			}
 		}
-		delete(attributed, id)
 	}
-	sites := make([]lattice.Coord, 0, len(siteSet))
-	for q := range siteSet {
-		sites = append(sites, q)
+	// Arms without a structural tier only expire the bookkeeping.
+	structural := r.tier != defect.SeverityReweight
+	var sites []lattice.Coord
+	for _, id := range subsidedIDs(ps.attributed, active) {
+		for _, q := range ps.attributed[id].est {
+			if structural && !active[q] && !slices.Contains(sites, q) {
+				sites = append(sites, q)
+			}
+		}
+		delete(ps.attributed, id)
+	}
+	if len(sites) == 0 {
+		return 0, nil
 	}
 	lattice.SortCoords(sites)
-	return sites
-}
-
-// recoverSubsided reincorporates the subsided attributions' sites into
-// patch i. Returns how many sites were reincorporated (0 when no recovery
-// happened).
-func recoverSubsided(sys *core.System, i int, events []*event, attributed map[int32]*attribution, cycle int64) (int, error) {
-	sites := subsidedSites(events, attributed, cycle)
-	if len(sites) == 0 {
-		return 0, nil
+	switch r.tier {
+	case defect.SeverityRemove:
+		if _, err := r.sys.Recover(i, sites); err != nil {
+			return 0, err
+		}
+		return len(sites), nil
+	case defect.SeveritySuper:
+		st, err := r.sys.Unbandage(i, sites)
+		if err != nil {
+			return 0, err
+		}
+		return len(st.Defects), nil
 	}
-	if _, err := sys.Recover(i, sites); err != nil {
-		return 0, err
-	}
-	return len(sites), nil
-}
-
-// unbandageSubsided is the bandage arm's recovery path: the subsided
-// attributions' sites are released from their super-stabilizers (undoing
-// the gauge merge). Boot-adaptation bandages are never in the attribution
-// bookkeeping, so they stay permanent. Returns how many sites were
-// released.
-func unbandageSubsided(sys *core.System, i int, events []*event, attributed map[int32]*attribution, cycle int64) (int, error) {
-	sites := subsidedSites(events, attributed, cycle)
-	if len(sites) == 0 {
-		return 0, nil
-	}
-	st, err := sys.Unbandage(i, sites)
-	if err != nil {
-		return 0, err
-	}
-	return len(st.Defects), nil
-}
-
-// expireAttributions is the untreated arm's counterpart of recoverSubsided:
-// the bookkeeping expires, nothing acts.
-func expireAttributions(events []*event, attributed map[int32]*attribution, cycle int64) {
-	active := activeRemoveSites(events, cycle)
-	for _, id := range subsidedIDs(attributed, active) {
-		delete(attributed, id)
-	}
+	return 0, nil
 }
 
 // subsidedIDs lists, in sorted order, the attributed ids whose flagged

@@ -2,9 +2,11 @@ package traj
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
+	"surfdeformer/internal/defect"
 	"surfdeformer/internal/sim"
 )
 
@@ -184,6 +186,18 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PhysicalRate = 0.5 },
 		func(c *Config) { c.ReweightFactor = 1 },
 		func(c *Config) { c.ReweightFactor = -2 },
+		// One non-finite case per float field: NaN passes every ordered
+		// comparison, so each must be rejected explicitly.
+		func(c *Config) { c.PhysicalRate = math.NaN() },
+		func(c *Config) { c.Threshold = math.NaN() },
+		func(c *Config) { c.ReweightFactor = math.NaN() },
+		func(c *Config) { c.ReweightFactor = math.Inf(1) },
+		func(c *Config) { c.Halflife = math.NaN() },
+		func(c *Config) { c.Halflife = math.Inf(1) },
+		func(c *Config) { c.SuperThreshold = math.NaN() },
+		func(c *Config) { c.Device = &defect.DeviceModel{QubitDefectRate: math.NaN()} },
+		func(c *Config) { c.Device = &defect.DeviceModel{CouplerDefectRate: math.NaN()} },
+		func(c *Config) { c.Device = &defect.DeviceModel{QubitDefectRate: 0.01, ErrorRate: math.NaN()} },
 	}
 	for i, mutate := range bad {
 		cfg := QuickConfig()
